@@ -7,7 +7,12 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import DEFAULT_NODE_BUDGET, visible_rank_exact, visibly_independent
+from .engine import (
+    DEFAULT_NODE_BUDGET,
+    VrankResult,
+    visible_rank_exact,
+    visibly_independent,
+)
 from .stencil import Stencil, StencilError
 
 
@@ -45,7 +50,20 @@ class SymmetricSpanoid:
 
     @staticmethod
     def from_json(doc: dict) -> "SymmetricSpanoid":
-        return SymmetricSpanoid.from_sets(int(doc["n"]), doc["sets"])
+        def is_int(x) -> bool:
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        n = doc.get("n") if isinstance(doc, dict) else None
+        sets = doc.get("sets") if isinstance(doc, dict) else None
+        if not (
+            is_int(n)
+            and isinstance(sets, list)
+            and all(isinstance(s, list) and all(map(is_int, s)) for s in sets)
+        ):
+            raise SpanoidError(
+                'spanoid JSON must be {"n": <int>, "sets": [[<int>, ...], ...]}'
+            )
+        return SymmetricSpanoid.from_sets(n, sets)
 
     @staticmethod
     def from_json_str(text: str) -> "SymmetricSpanoid":
@@ -56,18 +74,6 @@ def _set_masks(S: SymmetricSpanoid) -> list[int]:
     return [sum(1 << (i - 1) for i in s) for s in S.sets]
 
 
-def _closure_mask(set_masks: list[int], cur: int) -> int:
-    changed = True
-    while changed:
-        changed = False
-        for sm in set_masks:
-            missing = sm & ~cur
-            if missing and missing & (missing - 1) == 0:
-                cur |= missing
-                changed = True
-    return cur
-
-
 def span_closure(S: SymmetricSpanoid, T) -> frozenset[int]:
     """Least fixed point of the inference rules applied to T: add i whenever
     some S_j containing i has S_j \\ {i} inside the current set."""
@@ -76,7 +82,15 @@ def span_closure(S: SymmetricSpanoid, T) -> frozenset[int]:
         if not 1 <= i <= S.n:
             raise SpanoidError(f"element {i} out of range")
     cur = sum(1 << (i - 1) for i in T)
-    cur = _closure_mask(_set_masks(S), cur)
+    masks = _set_masks(S)
+    changed = True
+    while changed:
+        changed = False
+        for sm in masks:
+            missing = sm & ~cur
+            if missing and missing & (missing - 1) == 0:
+                cur |= missing
+                changed = True
     return frozenset(i + 1 for i in range(S.n) if cur >> i & 1)
 
 
@@ -87,50 +101,27 @@ class SpanoidRankResult:
     exhaustive: bool
 
 
-def spanoid_rank(S: SymmetricSpanoid, budget: int = 1 << 22) -> SpanoidRankResult:
-    """Size of the smallest spanning subset of [n].
+def spanoid_rank(
+    S: SymmetricSpanoid, node_budget: int = DEFAULT_NODE_BUDGET
+) -> SpanoidRankResult:
+    """Size of the smallest spanning subset of [n], computed as n - vrk of the
+    canonical stencil by one exact visible-rank search.
 
-    Exhaustive search over subsets by increasing size while 2^n fits the
-    budget of closure evaluations; beyond that, a greedy upper bound with
-    ``exhaustive=False``.
+    ``basis`` is the complement of the search certificate's columns: those
+    columns are visibly independent, so their complement spans (column
+    equivalence).  ``exhaustive`` is the search's ``exact`` flag.  When the
+    node budget runs out it is False and ``value`` is a sound upper bound,
+    still witnessed by the spanning ``basis``.
     """
-    masks = _set_masks(S)
-    full = (1 << S.n) - 1
+    return _rank_by_search(S, canonical_stencil(S), node_budget)[1]
 
-    def spans(mask: int) -> bool:
-        return _closure_mask(masks, mask) == full
 
-    if spans(0):
-        return SpanoidRankResult(0, frozenset(), True)
-
-    if 2**S.n <= budget:
-        for size in range(1, S.n + 1):
-            for combo in combinations(range(S.n), size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if spans(mask):
-                    return SpanoidRankResult(
-                        size, frozenset(i + 1 for i in combo), True
-                    )
-        raise SpanoidError("unreachable: the full universe always spans itself")
-
-    # Greedy: grow from the empty set by the element whose addition closes the
-    # most ground.
-    cur = 0
-    basis: list[int] = []
-    while _closure_mask(masks, cur) != full:
-        closed = _closure_mask(masks, cur)
-        best_i, best_gain = -1, -1
-        for i in range(S.n):
-            if closed >> i & 1:
-                continue
-            gain = _closure_mask(masks, closed | (1 << i)).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        basis.append(best_i + 1)
-        cur = closed | (1 << best_i)
-    return SpanoidRankResult(len(basis), frozenset(basis), False)
+def _rank_by_search(
+    S: SymmetricSpanoid, H: Stencil, node_budget: int
+) -> tuple[VrankResult, SpanoidRankResult]:
+    res = visible_rank_exact(H, node_budget=node_budget)
+    basis = frozenset(range(1, S.n + 1)) - frozenset(res.certificate.col_subset)
+    return res, SpanoidRankResult(S.n - res.lower_bound, basis, res.exact)
 
 
 def canonical_stencil(S: SymmetricSpanoid) -> Stencil:
@@ -170,23 +161,24 @@ def rank_nullity_check(
     for every C in 2^[n].  Failures indicate an implementation bug: the
     identity is unconditional."""
     H = canonical_stencil(S)
-    vres = visible_rank_exact(H, node_budget=node_budget)
-    rres = spanoid_rank(S)
-    holds = vres.exact and rres.exhaustive and vres.lower_bound + rres.value == S.n
+    vres, rres = _rank_by_search(S, H, node_budget)
+    universe = frozenset(range(1, S.n + 1))
+    # Both sides come from one search, so n - vrk = rank holds by
+    # construction; the two replays below do not trust the search.
+    holds = (
+        vres.exact
+        and vres.certificate.verify(H)
+        and span_closure(S, rres.basis) == universe
+    )
 
     col_ok: bool | None = None
     if check_columns:
-        universe = frozenset(range(1, S.n + 1))
-        col_ok = True
-        for size in range(S.n + 1):
-            for combo in combinations(sorted(universe), size):
-                vi = visibly_independent(H, combo, node_budget=node_budget)
-                spans = span_closure(S, universe - set(combo)) == universe
-                if vi != spans:
-                    col_ok = False
-                    break
-            if not col_ok:
-                break
+        col_ok = all(
+            visibly_independent(H, C, node_budget=node_budget)
+            == (span_closure(S, universe - set(C)) == universe)
+            for size in range(S.n + 1)
+            for C in combinations(sorted(universe), size)
+        )
     return RankNullityReport(
         S.n,
         vres.lower_bound,

@@ -53,14 +53,18 @@ def tensor_product(H1: Stencil, H2: Stencil, max_entries: int = DEFAULT_MAX_ENTR
     return Stencil(H1.m * H2.m, H1.n * H2.n, tuple(masks), rl, cl)
 
 
-def tensor_power(H: Stencil, k: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> Stencil:
-    """k-fold tensor product of H with itself; labels are arity-k tuples."""
+def _check_power(H: Stencil, k: int, max_entries: int) -> None:
     if k < 1:
         raise StencilError("tensor power requires k >= 1")
     if (H.m * H.n) ** k > max_entries:
         raise TensorSizeError(
             f"H^(x{k}) has {(H.m * H.n) ** k} entries, over the limit of {max_entries}"
         )
+
+
+def tensor_power(H: Stencil, k: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> Stencil:
+    """k-fold tensor product of H with itself; labels are arity-k tuples."""
+    _check_power(H, k, max_entries)
     out = H
     for _ in range(k - 1):
         out = tensor_product(out, H, max_entries=max_entries)
@@ -85,6 +89,8 @@ def diagonal_tensor_certificate(H: Stencil, t: int) -> tuple[Stencil, bool]:
     A True flag means the sub-stencil is the identity pattern, which certifies
     vrk(H^(xt)) >= n.  Requires rows labeled (i, s) over [n] x [t].
     """
+    if t < 1:
+        raise StencilError("tensor power requires t >= 1")
     shape_t = _row_group_shape(H)
     if shape_t is None or shape_t < t:
         raise StencilError(
@@ -268,6 +274,8 @@ def capacity_lower_bound(
     certificate); larger ones fall back to certificate tensoring, plus the
     implicit diagonal certificate when the row-label shape admits one.
     """
+    if k_max < 1:
+        raise StencilError("tensor power requires k_max >= 1")
     start = time.monotonic()
     res1 = visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
     per_level: dict[int, tuple[int, bool]] = {1: (res1.lower_bound, res1.exact)}
@@ -317,15 +325,12 @@ def tensor_power_vrank(
     level-1 certificate."""
     if k == 1:
         return visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
+    _check_power(H, k, max_entries)
     res1 = visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
-    Hk = tensor_power(H, k, max_entries=max_entries)
-    seed = None
-    if res1.certificate.size:
-        seed = res1.certificate
-        prev = H
-        for _ in range(k - 1):
-            seed = tensor_certificate(prev, seed, H, res1.certificate)
-            prev = tensor_product(prev, H, max_entries=max_entries)
+    Hk, seed = H, res1.certificate
+    for _ in range(k - 1):
+        seed = tensor_certificate(Hk, seed, H, res1.certificate)
+        Hk = tensor_product(Hk, H, max_entries=max_entries)
     return visible_rank_exact(
         Hk, node_budget=node_budget, time_budget=time_budget, initial=seed
     )

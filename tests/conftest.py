@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the package's search code so they can
 serve as ground truth: visible rank is recomputed by enumerating every square
-sub-stencil and counting its star diagonals via the permanent.
+sub-stencil and counting its star diagonals via the permanent, and spanoid rank
+by enumerating subsets of the universe and closing each under the spanoid's
+inference rules.
 """
 
 from itertools import combinations, permutations
@@ -10,6 +12,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from vrank.spanoid import SymmetricSpanoid
 from vrank.stencil import Stencil, count_star_diagonals, substencil
 
 
@@ -50,6 +53,29 @@ def permanent_by_permutations(M: Stencil) -> int:
         if all(M.star(i + 1, perm[i]) for i in range(M.n)):
             total += 1
     return total
+
+
+def brute_spanoid_rank(S: SymmetricSpanoid) -> int:
+    """Smallest spanning subset of [n], by enumeration in increasing size."""
+    universe = set(range(1, S.n + 1))
+
+    def closure(T) -> set[int]:
+        cur = set(T)
+        changed = True
+        while changed:
+            changed = False
+            for s in S.sets:
+                missing = s - cur
+                if len(missing) == 1:
+                    cur |= missing
+                    changed = True
+        return cur
+
+    for size in range(S.n + 1):
+        for T in combinations(sorted(universe), size):
+            if closure(T) == universe:
+                return size
+    raise AssertionError("unreachable: the universe always spans itself")
 
 
 @pytest.fixture

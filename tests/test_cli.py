@@ -87,6 +87,22 @@ class TestCertify:
         assert code == 1
         assert not json.loads(out)["identity"]
 
+    def test_power_zero_exit_2(self, capsys, tmp_path):
+        p = str(tmp_path / "h.json")
+        run(capsys, "gen", "--family", "drgp", "--n", "8", "--t", "2", "--seed", "3", "-o", p)
+        code = main(["certify", p, "--power", "0"])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert "requires t >= 1" in cap.err
+
+
+class TestTensor:
+    def test_power_zero_exit_2(self, capsys, d3_path):
+        code = main(["tensor", d3_path, "--power", "0"])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert "requires k_max >= 1" in cap.err
+
 
 class TestMinrankWitness:
     def test_minrank_d3(self, capsys, d3_path):
@@ -113,6 +129,24 @@ class TestSpanoid:
         assert code == 0 and json.loads(out)["rank"] == 1
         code, out = run(capsys, "spanoid", "check", str(p), "--columns")
         assert code == 0 and json.loads(out)["identity_holds"]
+
+    @pytest.mark.parametrize("action", ["rank", "check"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sets": [[1, 2]]},
+            {"n": 3, "sets": [[1, "2"]]},
+            {"n": 3, "sets": [1, 2]},
+        ],
+        ids=["missing-n", "non-integer-element", "sets-not-list-of-lists"],
+    )
+    def test_malformed_json_exit_2(self, capsys, tmp_path, action, doc):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        code = main(["spanoid", action, str(p)])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
 
 
 class TestVerify:

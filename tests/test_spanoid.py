@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import brute_spanoid_rank
+from vrank import spanoid
+from vrank.engine import visible_rank_exact
 from vrank.spanoid import (
     SpanoidError,
     SymmetricSpanoid,
@@ -88,18 +91,50 @@ class TestRank:
         S = SymmetricSpanoid.from_sets(3, [[1], [2], [3]])
         assert spanoid_rank(S).value == 0
 
-    def test_greedy_fallback_is_sound(self):
-        S = SymmetricSpanoid.from_sets(6, [[1, 2], [3, 4]])
-        res = spanoid_rank(S, budget=4)
+    def test_budget_starved_is_sound(self):
+        # Greedy bound 2 and matching bound 3 do not close, so the search runs
+        # and stops at once: the value is an upper bound witnessed by a basis.
+        S = SymmetricSpanoid.from_sets(4, [[1, 2], [3, 4], [2, 3, 4]])
+        res = spanoid_rank(S, node_budget=1)
         assert not res.exhaustive
-        assert span_closure(S, res.basis) == set(range(1, 7))
-        assert res.value >= spanoid_rank(S).value
+        assert len(res.basis) == res.value
+        assert span_closure(S, res.basis) == {1, 2, 3, 4}
+        assert res.value >= brute_spanoid_rank(S) == 1
 
-    @given(spanoids)
-    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize(
+        "n, sets, rank",
+        [
+            (60, [[2 * k + 1, 2 * k + 2] for k in range(30)], 30),
+            (40, [[i, i + 1, i + 2] for i in range(1, 39)], 2),
+        ],
+        ids=["disjoint-pairs-60", "triple-chain-40"],
+    )
+    def test_exact_beyond_subset_enumeration(self, n, sets, rank):
+        S = SymmetricSpanoid.from_sets(n, sets)
+        res = spanoid_rank(S)
+        assert res.exhaustive and res.value == rank
+        assert span_closure(S, res.basis) == set(range(1, n + 1))
+
+    def test_one_search_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(H, **kwargs):
+            calls.append(H)
+            return visible_rank_exact(H, **kwargs)
+
+        monkeypatch.setattr(spanoid, "visible_rank_exact", counting)
+        S = SymmetricSpanoid.from_sets(4, [[1, 2], [3, 4], [2, 3, 4]])
+        spanoid_rank(S)
+        assert len(calls) == 1
+        rank_nullity_check(S)
+        assert len(calls) == 2
+
+    @given(st.composite(lambda draw: random_spanoid(draw, max_n=10, max_m=8))())
+    @settings(max_examples=100, deadline=None)
     def test_basis_spans(self, S):
         res = spanoid_rank(S)
         assert res.exhaustive
+        assert res.value == len(res.basis) == brute_spanoid_rank(S)
         assert span_closure(S, res.basis) == set(range(1, S.n + 1))
 
 
