@@ -272,9 +272,9 @@ def cmd_verify(args) -> int:
     if args.certificate:
         with open(args.certificate, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        cert = engine.DiagonalCertificate.from_json(
-            doc["certificate"] if "certificate" in doc else doc
-        )
+        if isinstance(doc, dict) and "certificate" in doc:
+            doc = doc["certificate"]
+        cert = engine.DiagonalCertificate.from_json(doc)
         ok = cert.verify(H)
         print(json.dumps({"certificate_valid": ok, "size": cert.size}))
         return 0 if ok else 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .stencil import (
@@ -19,6 +20,7 @@ from .stencil import (
     Stencil,
     StencilError,
     SubsetError,
+    is_json_int_list,
     max_matching_size,
     permute,
     substencil,
@@ -31,6 +33,10 @@ EXACT_SIDE_GUARANTEE = 24
 PROV_EXACT = "exact-search"
 PROV_MATCHING = "matching"
 PROV_ZERO_RECT = "zero-rectangle"
+
+
+class CertificateError(StencilError):
+    """Malformed certificate document."""
 
 
 @dataclass(frozen=True)
@@ -91,11 +97,27 @@ class DiagonalCertificate:
 
     @staticmethod
     def from_json(doc: dict) -> "DiagonalCertificate":
+        """Read the ``to_json`` form; raises ``CertificateError`` when the
+        document does not have that shape."""
+
+        def int_list(key: str) -> tuple[int, ...]:
+            value = doc.get(key)
+            if not is_json_int_list(value):
+                raise CertificateError(f"certificate {key!r} must be a list of integers")
+            return tuple(value)
+
+        if not isinstance(doc, dict):
+            raise CertificateError("certificate JSON must be an object")
+        peel = doc.get("peel_order")
+        if not (
+            isinstance(peel, list) and all(is_json_int_list(p) and len(p) == 2 for p in peel)
+        ):
+            raise CertificateError("certificate 'peel_order' must be a list of [row, col] pairs")
         return DiagonalCertificate(
-            tuple(doc["rows"]),
-            tuple(doc["cols"]),
-            PermutationPair(tuple(doc["row_perm"]), tuple(doc["col_perm"])),
-            tuple((p[0], p[1]) for p in doc["peel_order"]),
+            int_list("rows"),
+            int_list("cols"),
+            PermutationPair(int_list("row_perm"), int_list("col_perm")),
+            tuple((p[0], p[1]) for p in peel),
         )
 
 
@@ -256,43 +278,6 @@ def zero_rectangle_bound(H: Stencil, a_max: int = 3, max_subsets: int = 2_000_00
     return best
 
 
-def _matching_at_least(cmasks: list[int], target: int) -> bool:
-    """True iff the bipartite graph given by the masks has a matching of size
-    >= target (Kuhn's algorithm with early exit)."""
-    if target <= 0:
-        return True
-    match_col: dict[int, int] = {}
-    row_match: dict[int, int] = {}
-
-    def augment(i: int, seen: int) -> tuple[bool, int]:
-        avail = cmasks[i] & ~seen
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            j = bit.bit_length() - 1
-            seen |= bit
-            k = match_col.get(j, -1)
-            if k == -1:
-                match_col[j] = i
-                row_match[i] = j
-                return True, seen
-            ok, seen = augment(k, seen)
-            if ok:
-                match_col[j] = i
-                row_match[i] = j
-                return True, seen
-        return False, seen
-
-    size = 0
-    for i in range(len(cmasks)):
-        if size >= target:
-            return True
-        ok, _ = augment(i, 0)
-        if ok:
-            size += 1
-    return size >= target
-
-
 def visible_rank_bounds(H: Stencil, a_max: int = 3) -> VrankResult:
     """Cheap sound bracket: greedy lower bound vs min(matching, zero-rectangle)."""
     lb, cert = greedy_lower_bound(H)
@@ -313,19 +298,20 @@ def visible_rank_exact(
 ) -> VrankResult:
     """Exact visible rank by branch-and-bound over triangular row sequences.
 
-    If the search exhausts its node or time budget the result degrades to a
-    sound bracket (``exact=False``) holding the best certificate found.
-    ``initial`` may seed the incumbent with a known-valid certificate.
+    The incumbent starts from the greedy bound, or from ``initial`` (a
+    known-valid certificate) when that is larger; no search runs when it
+    already meets the matching bound.  If the search exhausts its node or
+    time budget the result degrades to a sound bracket (``exact=False``)
+    holding the best certificate found, with the upper bound
+    min(matching, zero-rectangle).  The zero-rectangle bound is computed only
+    in that case: a search that completes proves its value without it.
     """
-    bounds = visible_rank_bounds(H)
-    best = bounds.lower_bound
-    best_cert = bounds.certificate
+    best, best_cert = greedy_lower_bound(H)
     if initial is not None and initial.size > best:
-        best = initial.size
-        best_cert = initial
-    ub, prov = bounds.upper_bound, bounds.upper_provenance
-    if best >= ub:
-        return VrankResult(best, best, best_cert, prov, exact=True)
+        best, best_cert = initial.size, initial
+    mub = max_matching_size(H)
+    if best >= mub:
+        return VrankResult(best, best, best_cert, PROV_MATCHING, exact=True)
 
     value, pairs, completed = _urm_search(
         list(H.rows), H.n, best, node_budget, time_budget
@@ -335,7 +321,41 @@ def visible_rank_exact(
         best_cert = _certificate_from_sequence(H, pairs)
     if completed:
         return VrankResult(best, best, best_cert, PROV_EXACT, exact=True)
+    zub = zero_rectangle_bound(H)
+    ub, prov = (mub, PROV_MATCHING) if mub <= zub else (zub, PROV_ZERO_RECT)
     return VrankResult(best, ub, best_cert, prov, exact=best == ub)
+
+
+def _may_extend(live: list[tuple[int, int, int]], need: int) -> bool:
+    """False when no triangular sequence continuing the node adds ``need`` rows.
+
+    ``live`` holds (mask, index, fresh columns) of the rows that still add a
+    column.  The pivots of an extension are distinct columns of U, the union
+    of the fresh columns, so it needs ``need`` live rows and |U| >= need.
+    Its first two rows a and b have no star on any later pivot: the need - 1
+    pivots after a's lie in U \\ a, and the need - 2 after b's in
+    U \\ (a | b).  This zero-rectangle bound on the residual stencil is
+    checked for need >= 3.
+    """
+    if len(live) < need:
+        return False
+    union = 0
+    for _, _, fresh in live:
+        union |= fresh
+    if union.bit_count() < need:
+        return False
+    if need < 3:
+        return True
+    zeros = sorted((union & ~mask for mask, _, _ in live), key=int.bit_count, reverse=True)
+    for i, za in enumerate(zeros):
+        if za.bit_count() < need - 1:
+            return False
+        for zb in zeros[i + 1 :]:
+            if zb.bit_count() < need - 2:
+                break
+            if (za & zb).bit_count() >= need - 2:
+                return True
+    return False
 
 
 def _urm_search(
@@ -345,7 +365,11 @@ def _urm_search(
     node_budget: int,
     time_budget: float | None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
-    """Core search.  Returns (best, improving sequence or None, completed)."""
+    """Core search.  Returns (best, improving sequence or None, completed).
+
+    Depth-first over an explicit stack, so a deep sequence cannot hit the
+    interpreter's recursion limit; the deadline is read at every node.
+    """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     # Distinct supports only: a row duplicating another's support can never
     # join the same triangular sequence.
@@ -360,62 +384,48 @@ def _urm_search(
     best_seq: list[tuple[int, int]] | None = None
     visited: dict[int, int] = {}
     nodes = 0
-    aborted = False
-    seq: list[tuple[int, int]] = []
-
-    def dfs(B: int, depth: int, cands: list[tuple[int, int]]) -> None:
-        nonlocal best, best_seq, nodes, aborted
-        if aborted:
-            return
+    seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
+    # Frames of the nodes being expanded: (B, depth, candidates for the
+    # children, iterator over the children not yet tried).
+    stack: list[tuple[int, int, list[tuple[int, int]], Iterator[tuple[int, int, int]]]] = []
+    B, depth, cands = 0, 0, rows
+    while True:
         nodes += 1
-        if nodes > node_budget or (
-            deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline
-        ):
-            aborted = True
-            return
+        if nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
+            return best, best_seq, False
         if depth > best:
             best = depth
             best_seq = seq.copy()
         prev = visited.get(B)
-        if prev is not None and prev >= depth:
-            return
-        visited[B] = depth
-        live = [(mask, idx, mask & ~B) for mask, idx in cands if mask & ~B]
-        if not live:
-            return
-        need = best - depth + 1  # must add at least this many to improve
-        free = n - B.bit_count()
-        if min(free, len(live)) < need:
-            return
-        if not _matching_at_least([fresh for _, _, fresh in live], need):
-            return
-        # Forced move: a candidate adding exactly one fresh column can always
-        # be taken first without loss.
-        forced = None
-        for mask, idx, fresh in live:
-            if fresh.bit_count() == 1:
-                forced = (mask, idx, fresh)
-                break
-        if forced is not None:
-            mask, idx, fresh = forced
-            seq.append((idx, fresh.bit_length() - 1))
-            dfs(B | mask, depth + 1, [(mk, ix) for mk, ix, _ in live if ix != idx])
-            seq.pop()
-            return
-        live.sort(key=lambda t: (t[2].bit_count(), t[1]))
-        nxt = [(mk, ix) for mk, ix, _ in live]
-        for mask, idx, fresh in live:
-            if aborted:
-                return
-            nb = B | mask
-            if depth + 1 + (n - nb.bit_count()) <= best:
+        if prev is None or prev < depth:
+            visited[B] = depth
+            live = [(mask, idx, mask & ~B) for mask, idx in cands if mask & ~B]
+            if live and _may_extend(live, best - depth + 1):
+                # Forced move: a candidate adding exactly one fresh column can
+                # always be taken first without loss.
+                forced = next((t for t in live if t[2].bit_count() == 1), None)
+                if forced is None:
+                    live.sort(key=lambda t: (t[2].bit_count(), t[1]))
+                    kids = live
+                else:
+                    kids = [forced]
+                stack.append((B, depth, [(mk, ix) for mk, ix, _ in live], iter(kids)))
+        # Move to the next child of the deepest frame that has one left.
+        while stack:
+            pB, pdepth, pcands, kids = stack[-1]
+            for mask, idx, fresh in kids:
+                nb = pB | mask
+                if pdepth + 1 + (n - nb.bit_count()) > best:
+                    break
+            else:
+                stack.pop()
                 continue
+            del seq[pdepth:]
             seq.append((idx, (fresh & -fresh).bit_length() - 1))
-            dfs(nb, depth + 1, nxt)
-            seq.pop()
-
-    dfs(0, 0, rows)
-    return best, best_seq, not aborted
+            B, depth, cands = nb, pdepth + 1, pcands
+            break
+        else:
+            return best, best_seq, True
 
 
 def visibly_independent(

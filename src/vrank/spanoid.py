@@ -13,7 +13,7 @@ from .engine import (
     visible_rank_exact,
     visibly_independent,
 )
-from .stencil import Stencil, StencilError
+from .stencil import Stencil, StencilError, is_json_int, is_json_int_list
 
 
 class SpanoidError(StencilError):
@@ -50,15 +50,12 @@ class SymmetricSpanoid:
 
     @staticmethod
     def from_json(doc: dict) -> "SymmetricSpanoid":
-        def is_int(x) -> bool:
-            return isinstance(x, int) and not isinstance(x, bool)
-
         n = doc.get("n") if isinstance(doc, dict) else None
         sets = doc.get("sets") if isinstance(doc, dict) else None
         if not (
-            is_int(n)
+            is_json_int(n)
             and isinstance(sets, list)
-            and all(isinstance(s, list) and all(map(is_int, s)) for s in sets)
+            and all(map(is_json_int_list, sets))
         ):
             raise SpanoidError(
                 'spanoid JSON must be {"n": <int>, "sets": [[<int>, ...], ...]}'

@@ -56,6 +56,16 @@ class OracleLimitError(StencilError):
     """Input exceeds a brute-force oracle's hard size limit."""
 
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer (a Python int that is not a bool)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_json_int_list(x) -> bool:
+    """True for a JSON list of integers."""
+    return isinstance(x, list) and all(map(is_json_int, x))
+
+
 def _default_labels(k: int) -> tuple[Label, ...]:
     return tuple((i,) for i in range(1, k + 1))
 
@@ -376,9 +386,14 @@ def stencil_from_json_doc(doc: dict) -> Stencil:
         raise MalformedHeaderError("JSON document missing rows/cols") from None
     rl = doc.get("row_labels")
     cl = doc.get("col_labels")
+    stars = doc.get("stars", [])
+    if not isinstance(stars, list):
+        raise ParseError("JSON stars must be a list of [row, col] pairs")
     masks = [0] * m
-    for entry in doc.get("stars", []):
-        i, j = int(entry[0]), int(entry[1])
+    for entry in stars:
+        if not (is_json_int_list(entry) and len(entry) == 2):
+            raise ParseError(f"star {entry!r} is not a [row, col] pair of integers")
+        i, j = entry
         if not (1 <= i <= m and 1 <= j <= n):
             raise ParseError(f"star ({i},{j}) out of range")
         masks[i - 1] |= 1 << (j - 1)

@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def assert_input_error(capsys, *argv):
+    """The command exits 2 with a one-line message and no output."""
+    code = main(list(argv))
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
 class TestGen:
     def test_gen_to_stdout(self, capsys):
         code, out = run(capsys, "gen", "--family", "lrc", "--n", "6", "--ell", "2", "--seed", "1")
@@ -63,6 +71,16 @@ class TestVrank:
     def test_missing_file_exit_2(self, capsys):
         code, _ = run(capsys, "vrank", "/nonexistent.stn")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "stars",
+        [[[1, "a"]], [[1]], [5], 5],
+        ids=["non-integer-entry", "short-pair", "not-a-pair", "not-a-list"],
+    )
+    def test_malformed_stars_exit_2(self, capsys, tmp_path, stars):
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"rows": 2, "cols": 2, "stars": stars}))
+        assert_input_error(capsys, "vrank", str(p))
 
 
 class TestCertify:
@@ -143,10 +161,7 @@ class TestSpanoid:
     def test_malformed_json_exit_2(self, capsys, tmp_path, action, doc):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
-        code = main(["spanoid", action, str(p)])
-        cap = capsys.readouterr()
-        assert code == 2 and cap.out == ""
-        assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+        assert_input_error(capsys, "spanoid", action, str(p))
 
 
 class TestVerify:
@@ -170,6 +185,26 @@ class TestVerify:
         cert_path.write_text(json.dumps(doc))
         code, _ = run(capsys, "verify", d3_path, "--certificate", str(cert_path))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": [1]},
+            [1, 2],
+            {"rows": [1], "cols": ["1"], "row_perm": [1], "col_perm": [1],
+             "peel_order": [[1, 1]]},
+            {"rows": [1], "cols": [1], "row_perm": [1], "col_perm": [1],
+             "peel_order": [[1]]},
+            {"certificate": {"rows": [1], "cols": [1], "row_perm": [1], "col_perm": [1],
+                             "peel_order": 7}},
+        ],
+        ids=["missing-keys", "not-an-object", "non-integer-entry", "short-peel-pair",
+             "peel-order-not-a-list"],
+    )
+    def test_malformed_certificate_exit_2(self, capsys, d3_path, tmp_path, doc):
+        cert_path = tmp_path / "c.json"
+        cert_path.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", d3_path, "--certificate", str(cert_path))
 
     def test_family_membership(self, capsys, tmp_path):
         p = str(tmp_path / "h.json")

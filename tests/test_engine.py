@@ -1,5 +1,8 @@
 """Visible rank engine: peeling, triangularization, exact search, bounds."""
 
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from tests.conftest import brute_vrank, random_stencil, rng_for
 from vrank.engine import (
     PROV_EXACT,
+    PROV_ZERO_RECT,
     greedy_lower_bound,
     is_visibly_full_rank,
     triangularize,
@@ -15,6 +19,7 @@ from vrank.engine import (
     visibly_independent,
     zero_rectangle_bound,
 )
+from vrank.families import gen_drgp, gen_lcc
 from vrank.stencil import (
     Stencil,
     StencilError,
@@ -98,10 +103,19 @@ class TestExact:
         res = visible_rank_exact(Stencil.from_rows([0, 0], 3))
         assert res.lower_bound == 0 and res.exact
 
-    @given(st.integers(0, 2**30), st.integers(2, 6), st.integers(2, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bruteforce(self, seed, m, n):
-        H = random_stencil(rng_for(seed), m, n)
+    @given(
+        st.integers(0, 2**30),
+        st.integers(2, 6),
+        st.integers(2, 9),
+        st.booleans(),
+        st.sampled_from([0.3, 0.5, 0.7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce(self, seed, short, long, tall, density):
+        # Tall stencils are where the pair prune cuts, wide and sparse ones
+        # where the union of fresh columns does.
+        m, n = (long, short) if tall else (short, long)
+        H = random_stencil(rng_for(seed), m, n, density)
         res = visible_rank_exact(H)
         assert res.exact
         assert res.lower_bound == brute_vrank(H)
@@ -120,6 +134,37 @@ class TestExact:
         res = visible_rank_exact(H, node_budget=3)
         full = visible_rank_exact(H)
         assert res.lower_bound <= full.lower_bound <= res.upper_bound
+        assert res.certificate.verify(H)
+
+    def test_budget_stop_reports_zero_rectangle(self):
+        # The zero-rectangle bound (10) is below the matching bound (16), and
+        # a one-node search stops before it can prove the value.
+        H = gen_drgp(16, 2, 0)
+        res = visible_rank_exact(H, node_budget=1)
+        assert not res.exact and res.certificate.verify(H)
+        assert zero_rectangle_bound(H) < max_matching_size(H)
+        assert res.upper_bound == zero_rectangle_bound(H)
+        assert res.upper_provenance == PROV_ZERO_RECT
+
+    def test_time_budget_kept(self):
+        H = gen_lcc(128, 3, 0.05, 1)
+        start = time.monotonic()
+        res = visible_rank_exact(H, time_budget=0.5)
+        assert time.monotonic() - start < 1.5
+        assert not res.exact and res.lower_bound < res.upper_bound
+        assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
+
+    def test_deep_staircase_within_recursion_limit(self):
+        # The search depth equals the visible rank, here the side n.
+        n = 400
+        H = Stencil.from_rows([(0b11 << i) & ((1 << n) - 1) for i in range(n)], n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            res = visible_rank_exact(H)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.exact and res.lower_bound == n
         assert res.certificate.verify(H)
 
     def test_provenance_tag(self):
