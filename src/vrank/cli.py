@@ -1,7 +1,8 @@
 """Command-line front end: generation, rank computation, certification,
 witness oracles, spanoid checks, and CSV experiment sweeps.
 
-Exit codes: 0 on success, 1 on a violated verification, 2 on usage errors.
+Exit codes: 0 on success, 1 on a violated verification, 2 on usage errors,
+malformed input, and inputs that exhaust the recursion limit or memory.
 """
 
 from __future__ import annotations
@@ -415,6 +416,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (stencil.StencilError, gf.FieldError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep (Python recursion limit exceeded)", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

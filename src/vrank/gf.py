@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import visible_rank_exact
 from .stencil import Stencil, StencilError
 
 MAX_PRIME = 1 << 16
@@ -120,52 +121,77 @@ class MinrankResult:
 def minrank_bruteforce(
     H: Stencil, p: int, budget: int = 2_000_000
 ) -> MinrankResult:
-    """Minimum rank over all GF(p)-witnesses of H by odometer enumeration.
+    """Minimum rank over all GF(p)-witnesses of H, up to row and column scaling.
 
-    Star values run over 1..p-1 in row-major odometer order, so the first
-    witness attaining the minimum is the lexicographically least one.  The
-    budget counts matrices evaluated; exhaustion degrades to best-found.
+    Scaling a row or a column by a nonzero scalar keeps both the rank and the
+    support, so every witness is equivalent to one that is 1 on a spanning
+    forest of the bipartite row/column star graph.  The forest takes, in
+    row-major order, each star that joins two components; only the other
+    ``stars - (m + n - components)`` stars run over 1..p-1, in row-major
+    odometer order.  The returned witness is the first one in that order that
+    attains the minimum, with the forest stars set to 1.  When the search is
+    exhaustive this is also the lexicographically least minimum-rank witness
+    (stars in row-major order): if C is the component of a forest star's
+    column in the graph of the stars before it, multiplying the columns of C
+    by c and the rows of C by 1/c sets that star to 1 and leaves every
+    earlier star as it was.
+
+    The enumeration stops as soon as the best rank meets the floor
+    max(1, vrk lower bound) (0 without stars), since vrk(H) <= rank(W) for
+    every witness W; the lower bound is certified by a visible-rank search
+    limited to ``budget`` nodes.  The budget counts matrices evaluated;
+    exhaustion degrades to best-found (``exhaustive=False``).
     """
     _check_prime(p)
     stars = H.stars()
-    k = len(stars)
-    base = p - 1
+    grid = [[0] * H.n for _ in range(H.m)]
+    parent = list(range(H.m + H.n))  # rows 0..m-1, then columns
 
-    def build(digits: list[int]) -> WitnessMatrix:
-        grid = [[0] * H.n for _ in range(H.m)]
-        for (i, j), d in zip(stars, digits):
-            grid[i - 1][j - 1] = d + 1
-        return WitnessMatrix(p, tuple(tuple(r) for r in grid), H)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    digits = [0] * k
-    best_val: int | None = None
-    best_digits: list[int] | None = None
+    free: list[tuple[list[int], int]] = []  # (grid row, column) of each free star
+    for i, j in stars:
+        grid[i - 1][j - 1] = 1
+        a, b = find(i - 1), find(H.m + j - 1)
+        if a == b:
+            free.append((grid[i - 1], j - 1))
+        else:
+            parent[a] = b
+    floor_rank = 0
+    if stars:
+        floor_rank = max(1, visible_rank_exact(H, node_budget=budget).lower_bound)
+
+    best_val = H.m + 1
+    best_grid = grid
     evaluated = 0
     exhausted_all = False
-    floor_rank = 1 if k else 0
+    top = p - 1
     while True:
-        W = build(digits)
-        r = gf_rank_rows([list(row) for row in W.entries], p)
+        r = gf_rank_rows([row.copy() for row in grid], p)
         evaluated += 1
-        if best_val is None or r < best_val:
+        if r < best_val:
             best_val = r
-            best_digits = digits.copy()
-            if best_val == floor_rank:
+            best_grid = [row.copy() for row in grid]
+            if r <= floor_rank:
                 exhausted_all = True  # cannot go lower; enumeration is moot
                 break
-        # advance the odometer
-        pos = k - 1
-        while pos >= 0 and digits[pos] == base - 1:
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
+        # advance the odometer over the free stars
+        for row, j in reversed(free):
+            if row[j] < top:
+                row[j] += 1
+                break
+            row[j] = 1
+        else:
             exhausted_all = True
             break
-        digits[pos] += 1
         if evaluated >= budget:
             break
-    assert best_val is not None and best_digits is not None
-    return MinrankResult(p, best_val, build(best_digits), exhausted_all)
+    witness = WitnessMatrix(p, tuple(tuple(row) for row in best_grid), H)
+    return MinrankResult(p, best_val, witness, exhausted_all)
 
 
 def low_rank_witness(H: Stencil, p: int) -> WitnessMatrix:

@@ -282,6 +282,7 @@ def _hopcroft_karp(masks: list[int], n: int) -> int:
     match_row = [-1] * m
     match_col = [-1] * n
     dist = [INF] * m
+    edges = []  # per row, an iterator over the columns left to try in this phase
     size = 0
 
     def bfs() -> bool:
@@ -302,19 +303,38 @@ def _hopcroft_karp(masks: list[int], n: int) -> int:
                     queue.append(k)
         return found
 
-    def dfs(i: int) -> bool:
-        for j in adj[i]:
-            k = match_col[j]
-            if k == -1 or (dist[k] == dist[i] + 1 and dfs(k)):
-                match_row[i] = j
-                match_col[j] = i
-                return True
-        dist[i] = INF
+    def augment(root: int) -> bool:
+        """Find a layered augmenting path from the free row ``root`` and flip
+        it, walking on an explicit stack (``path`` holds rows, ``via[t]`` the
+        column from ``path[t]`` to ``path[t + 1]``).  A row with no way
+        forward leaves the layering for the rest of the phase."""
+        path, via = [root], []
+        while path:
+            i = path[-1]
+            layer = dist[i] + 1
+            for j in edges[i]:
+                k = match_col[j]
+                if k == -1:
+                    via.append(j)
+                    for r, c in zip(path, via):
+                        match_row[r] = c
+                        match_col[c] = r
+                    return True
+                if dist[k] == layer:
+                    via.append(j)
+                    path.append(k)
+                    break
+            else:
+                dist[i] = INF
+                path.pop()
+                if via:
+                    via.pop()
         return False
 
     while bfs():
+        edges[:] = map(iter, adj)
         for i in range(m):
-            if match_row[i] == -1 and dfs(i):
+            if match_row[i] == -1 and augment(i):
                 size += 1
     return size
 
@@ -384,8 +404,12 @@ def stencil_from_json_doc(doc: dict) -> Stencil:
         m, n = int(doc["rows"]), int(doc["cols"])
     except (KeyError, TypeError, ValueError):
         raise MalformedHeaderError("JSON document missing rows/cols") from None
-    rl = doc.get("row_labels")
-    cl = doc.get("col_labels")
+    for key, count in (("row_labels", m), ("col_labels", n)):
+        labels = doc.get(key)
+        if labels is not None and not (
+            isinstance(labels, list) and len(labels) == count and all(map(is_json_int_list, labels))
+        ):
+            raise ParseError(f"JSON {key} must be a list of {count} integer lists")
     stars = doc.get("stars", [])
     if not isinstance(stars, list):
         raise ParseError("JSON stars must be a list of [row, col] pairs")
@@ -397,7 +421,7 @@ def stencil_from_json_doc(doc: dict) -> Stencil:
         if not (1 <= i <= m and 1 <= j <= n):
             raise ParseError(f"star ({i},{j}) out of range")
         masks[i - 1] |= 1 << (j - 1)
-    return Stencil.from_rows(masks, n, rl, cl)
+    return Stencil.from_rows(masks, n, doc.get("row_labels"), doc.get("col_labels"))
 
 
 def write_stencil(H: Stencil, path: str) -> None:

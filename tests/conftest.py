@@ -2,16 +2,17 @@
 
 The oracles here deliberately avoid the package's search code so they can
 serve as ground truth: visible rank is recomputed by enumerating every square
-sub-stencil and counting its star diagonals via the permanent, and spanoid rank
+sub-stencil and counting its star diagonals via the permanent, spanoid rank
 by enumerating subsets of the universe and closing each under the spanoid's
-inference rules.
+inference rules, and min-rank by ranking every GF(p) witness.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
+from vrank.gf import gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
 from vrank.stencil import Stencil, count_star_diagonals, substencil
 
@@ -76,6 +77,22 @@ def brute_spanoid_rank(S: SymmetricSpanoid) -> int:
             if closure(T) == universe:
                 return size
     raise AssertionError("unreachable: the universe always spans itself")
+
+
+def brute_minrank(H: Stencil, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Minimum GF(p) rank over all (p-1)^stars witnesses of H, with no
+    symmetry reduction and no early stop, and the lexicographically least
+    witness (star values in row-major order) that attains it."""
+    stars = H.stars()
+    best, best_grid = min(H.m, H.n) + 1, None
+    for values in product(range(1, p), repeat=len(stars)):
+        grid = [[0] * H.n for _ in range(H.m)]
+        for (i, j), v in zip(stars, values):
+            grid[i - 1][j - 1] = v
+        rank = gf_rank_rows([row.copy() for row in grid], p)
+        if rank < best:
+            best, best_grid = rank, tuple(map(tuple, grid))
+    return best, best_grid
 
 
 @pytest.fixture

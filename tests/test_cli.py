@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from vrank import cli
 from vrank.cli import CSV_COLUMNS, ExperimentSpec, main, run_experiment
 from vrank.families import Family
 
@@ -81,6 +82,25 @@ class TestVrank:
         p = tmp_path / "h.json"
         p.write_text(json.dumps({"rows": 2, "cols": 2, "stars": stars}))
         assert_input_error(capsys, "vrank", str(p))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [{"row_labels": 5}, {"row_labels": [[1], "x"]}, {"col_labels": [[1]]},
+         {"col_labels": [[1], [2.5]]}],
+        ids=["not-a-list", "non-list-entry", "wrong-count", "non-integer-label"],
+    )
+    def test_malformed_labels_exit_2(self, capsys, tmp_path, labels):
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"rows": 2, "cols": 2, **labels}))
+        assert_input_error(capsys, "vrank", str(p))
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_resource_exhaustion_exit_2(self, capsys, monkeypatch, d3_path, exc):
+        def exhausted(args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "cmd_vrank", exhausted)
+        assert_input_error(capsys, "vrank", d3_path)
 
 
 class TestCertify:

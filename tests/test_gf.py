@@ -1,10 +1,10 @@
 """GF(p) witnesses: validation, rank, brute-force min-rank, low-rank construction."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_stencil, rng_for
+from tests.conftest import brute_minrank, random_stencil, rng_for
 from vrank.engine import visible_rank_exact
 from vrank.gf import (
     FieldError,
@@ -107,8 +107,25 @@ class TestMinrank:
         H = random_stencil(rng_for(3), 4, 4, density=0.8)
         res = minrank_bruteforce(H, 5, budget=3)
         full = minrank_bruteforce(H, 5, budget=2_000_000)
+        assert full.exhaustive
         assert res.value >= full.value
         assert validate_witness(res.witness)[0]
+
+    @given(st.integers(0, 2**30), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([0.3, 0.6, 0.9]), st.sampled_from([2, 3, 5]))
+    @example(1941, 4, 3, 0.6, 3)  # fixing its first cycle-closing star to 1 misses the minimum
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, seed, m, n, density, p):
+        # Sparse draws leave empty rows and columns, so the bipartite star
+        # graph is often disconnected.
+        H = random_stencil(rng_for(seed), m, n, density)
+        assume((p - 1) ** H.star_count() <= 20_000)
+        res = minrank_bruteforce(H, p)
+        value, least = brute_minrank(H, p)
+        assert res.exhaustive and res.value == value
+        assert res.witness.entries == least
+        assert validate_witness(res.witness)[0]
+        assert gf_rank(res.witness) == res.value
 
     @given(st.integers(0, 2**30), st.integers(3, 5))
     @settings(max_examples=40, deadline=None)

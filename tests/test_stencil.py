@@ -1,6 +1,8 @@
 """Stencil model, serialization, and the brute-force oracles."""
 
 import json
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,34 @@ class TestMatching:
 
     def test_derangement_pattern(self):
         assert max_matching_size(D3) == 3
+
+    def test_long_augmenting_path_within_recursion_limit(self):
+        # Rows {j, j+1} take the diagonal; the last row {1} then needs an
+        # augmenting path through every column.
+        n = 400
+        M = Stencil.from_rows([0b11 << j for j in range(n - 1)] + [1], n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            size = max_matching_size(M)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert size == n
+
+    @given(st.integers(0, 2**30), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([0.2, 0.4, 0.6]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_substencil_oracle(self, seed, m, n, density):
+        # The largest k x k sub-stencil that has a star diagonal.
+        M = random_stencil(rng_for(seed), m, n, density)
+        oracle = max(
+            (k for k in range(1, min(m, n) + 1)
+             for rows in combinations(range(1, m + 1), k)
+             for cols in combinations(range(1, n + 1), k)
+             if count_star_diagonals(substencil(M, rows, cols))),
+            default=0,
+        )
+        assert max_matching_size(M) == oracle
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
