@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine, families, gf, spanoid, stencil, tensor
 from .families import Family, FamilyParams
-from .stencil import Stencil
+from .stencil import is_json_int, is_json_int_list
 
 CSV_COLUMNS = [
     "family",
@@ -37,6 +37,23 @@ CSV_COLUMNS = [
 ]
 
 
+class SpecError(stencil.StencilError):
+    """Malformed experiment spec."""
+
+
+#: The keys of a spec document besides "family": check and expected type.
+_SPEC_KEYS = {
+    "n": (is_json_int_list, "a list of integers"),
+    "param": (is_json_int_list, "a list of integers"),
+    "trials": (is_json_int, "an integer"),
+    "seed": (is_json_int, "an integer"),
+    "budget_ms": (is_json_int, "an integer"),
+    "field": (is_json_int, "an integer"),
+    "delta": (lambda x: is_json_int(x) or isinstance(x, float), "a number"),
+    "csv": (lambda x: isinstance(x, str), "a path"),
+}
+
+
 @dataclass
 class ExperimentSpec:
     """A sweep over family parameters with per-point trial counts."""
@@ -53,20 +70,30 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.param_values:
-            raise ValueError("empty sweep")
+            raise SpecError("empty sweep")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise SpecError("trials must be >= 1")
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentSpec":
+        """Read a spec document; raises ``SpecError`` when it does not have
+        the shape of one."""
+        if not isinstance(doc, dict):
+            raise SpecError("experiment spec must be a JSON object")
+        doc = {key: value for key, value in doc.items() if value is not None}
+        if doc.get("family") not in {f.value for f in Family}:
+            raise SpecError(f"spec 'family' must be one of {', '.join(f.value for f in Family)}")
+        for key, (ok, kind) in _SPEC_KEYS.items():
+            if key in doc and not ok(doc[key]):
+                raise SpecError(f"spec {key!r} must be {kind}")
         return ExperimentSpec(
             family=Family(doc["family"]),
-            n_values=[int(x) for x in doc["n"]],
-            param_values=[int(x) for x in doc["param"]],
+            n_values=doc.get("n"),
+            param_values=doc.get("param"),
             delta=doc.get("delta"),
-            trials=int(doc.get("trials", 1)),
-            seed=int(doc.get("seed", 0)),
-            budget_ms=int(doc.get("budget_ms", 5000)),
+            trials=doc.get("trials", 1),
+            seed=doc.get("seed", 0),
+            budget_ms=doc.get("budget_ms", 5000),
             field_p=doc.get("field"),
             csv_path=doc.get("csv"),
         )
@@ -138,21 +165,16 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
 # Subcommands
 
 
-def _family_params_from_args(args) -> FamilyParams:
+def _family_param(args) -> tuple[Family, int | list[int]]:
+    """The family and the value of its parameter flag."""
+    if args.family is None or args.n in (None, []):
+        raise families.FamilyParamError(f"{args.command} needs --family and --n")
     fam = Family(args.family)
-    if fam is Family.LRC:
-        if args.ell is None:
-            raise SystemExit(_usage_error("lrc requires --ell"))
-        param = args.ell
-    elif fam is Family.LCC:
-        if args.q is None:
-            raise SystemExit(_usage_error("lcc requires --q"))
-        param = args.q
-    else:
-        if args.t is None:
-            raise SystemExit(_usage_error(f"{fam.value} requires --t"))
-        param = args.t
-    return FamilyParams(fam, args.n, param, delta=args.delta, seed=args.seed)
+    flag = {Family.LRC: "ell", Family.LCC: "q"}.get(fam, "t")
+    value = getattr(args, flag)
+    if value in (None, []):
+        raise families.FamilyParamError(f"{fam.value} requires --{flag}")
+    return fam, value
 
 
 def _usage_error(msg: str) -> int:
@@ -160,16 +182,10 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _load(path: str) -> Stencil:
-    return stencil.read_stencil(path)
-
-
 def cmd_gen(args) -> int:
-    try:
-        params = _family_params_from_args(args)
-        H = families.generate(params)
-    except families.FamilyParamError as exc:
-        return _usage_error(str(exc))
+    fam, param = _family_param(args)
+    params = FamilyParams(fam, args.n, param, delta=args.delta, seed=args.seed)
+    H = families.generate(params)
     report = families.validate_family(H, params)
     if not report:
         print(str(report), file=sys.stderr)
@@ -185,14 +201,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_vrank(args) -> int:
-    H = _load(args.file)
+    H = stencil.read_stencil(args.file)
     res = engine.visible_rank_exact(H, time_budget=args.budget_ms / 1000.0)
     print(res.to_json_str())
     return 0
 
 
 def cmd_tensor(args) -> int:
-    H = _load(args.file)
+    H = stencil.read_stencil(args.file)
     if args.output:
         Hk = tensor.tensor_power(H, args.power)
         stencil.write_stencil(Hk, args.output)
@@ -206,7 +222,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    H = _load(args.file)
+    H = stencil.read_stencil(args.file)
     sub, identity = tensor.diagonal_tensor_certificate(H, args.power)
     print(
         json.dumps(
@@ -221,7 +237,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_minrank(args) -> int:
-    H = _load(args.file)
+    H = stencil.read_stencil(args.file)
     res = gf.minrank_bruteforce(H, args.field, budget=args.budget)
     print(
         json.dumps(
@@ -237,7 +253,7 @@ def cmd_minrank(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    H = _load(args.file)
+    H = stencil.read_stencil(args.file)
     if args.construct != "low-rank":
         return _usage_error(f"unknown construction {args.construct!r}")
     W = gf.low_rank_witness(H, args.field)
@@ -269,7 +285,7 @@ def cmd_spanoid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    H = _load(args.file)
+    H = stencil.read_stencil(args.file)
     if args.certificate:
         with open(args.certificate, "r", encoding="ascii") as fh:
             doc = json.load(fh)
@@ -280,10 +296,8 @@ def cmd_verify(args) -> int:
         print(json.dumps({"certificate_valid": ok, "size": cert.size}))
         return 0 if ok else 1
     if args.family:
-        try:
-            params = _family_params_from_args(args)
-        except families.FamilyParamError as exc:
-            return _usage_error(str(exc))
+        fam, param = _family_param(args)
+        params = FamilyParams(fam, args.n, param, delta=args.delta, seed=args.seed)
         report = families.validate_family(H, params)
         print(json.dumps({"valid": bool(report), "detail": str(report)}))
         return 0 if report else 1
@@ -297,31 +311,18 @@ def cmd_experiment(args) -> int:
         if args.csv:
             spec.csv_path = args.csv
     else:
-        if not args.family or not args.n:
-            return _usage_error("experiment needs --spec or --family/--n")
-        fam = Family(args.family)
-        if fam is Family.LRC:
-            param_values = args.ell
-        elif fam is Family.LCC:
-            param_values = args.q
-        else:
-            param_values = args.t
-        if not param_values:
-            return _usage_error(f"experiment over {fam.value} needs its parameter list")
-        try:
-            spec = ExperimentSpec(
-                family=fam,
-                n_values=args.n,
-                param_values=param_values,
-                delta=args.delta,
-                trials=args.trials,
-                seed=args.seed,
-                budget_ms=args.budget_ms,
-                field_p=args.field,
-                csv_path=args.csv,
-            )
-        except ValueError as exc:
-            return _usage_error(str(exc))
+        fam, param_values = _family_param(args)
+        spec = ExperimentSpec(
+            family=fam,
+            n_values=args.n,
+            param_values=param_values,
+            delta=args.delta,
+            trials=args.trials,
+            seed=args.seed,
+            budget_ms=args.budget_ms,
+            field_p=args.field,
+            csv_path=args.csv,
+        )
     rows = run_experiment(spec)
     if not spec.csv_path:
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)

@@ -86,6 +86,15 @@ class DiagonalCertificate:
             col_active &= ~(1 << (pj - 1))
         return col_active == 0
 
+    @staticmethod
+    def triangular(rows, cols) -> "DiagonalCertificate":
+        """Identity permutations and the peel order (r, r), ..., (1, 1) for
+        ``rows`` and ``cols`` listed as an upper-triangular pattern with a
+        star diagonal, which is not checked (``triangular_certificate`` is)."""
+        r = len(rows)
+        peel = tuple((k, k) for k in range(r, 0, -1))
+        return DiagonalCertificate(tuple(rows), tuple(cols), PermutationPair.identity(r, r), peel)
+
     def to_json(self) -> dict:
         return {
             "rows": list(self.row_subset),
@@ -119,9 +128,6 @@ class DiagonalCertificate:
             PermutationPair(int_list("row_perm"), int_list("col_perm")),
             tuple((p[0], p[1]) for p in peel),
         )
-
-
-EMPTY_CERTIFICATE = DiagonalCertificate((), (), PermutationPair((), ()), ())
 
 
 @dataclass(frozen=True)
@@ -202,25 +208,33 @@ def triangularize(M: Stencil) -> PermutationPair | None:
     return cert.perm_pair if ok else None
 
 
-def _certificate_from_sequence(H: Stencil, pairs: list[tuple[int, int]]) -> DiagonalCertificate:
-    """Build a certificate from a forward triangular sequence.
+def triangular_certificate(H: Stencil, rows, cols) -> DiagonalCertificate:
+    """Certificate for the sub-stencil of ``H`` on the 1-based ``rows`` and
+    ``cols``, listed so that it is upper triangular with a star diagonal.
 
-    ``pairs`` are 0-based (row, col) with each column outside the supports of
-    all earlier rows; reversing the order gives an upper-triangular pattern.
+    Checks in one pass that every index is in range, that ``rows[i]`` has a
+    star at ``cols[i]`` and none on ``cols[:i]`` (so a repeated index fails
+    too), and raises ``StencilError`` otherwise.
     """
-    if not pairs:
-        return EMPTY_CERTIFICATE
-    rows = tuple(r + 1 for r, _ in reversed(pairs))
-    cols = tuple(c + 1 for _, c in reversed(pairs))
-    sub = substencil(H, rows, cols)
-    order = _peel(list(sub.rows), sub.n)
-    if order is None:
-        raise StencilError("internal error: sequence does not peel")
-    return DiagonalCertificate(
-        rows,
-        cols,
-        PermutationPair.identity(len(rows), len(cols)),
-        tuple((i + 1, j + 1) for i, j in order),
+    if len(rows) != len(cols):
+        raise StencilError(f"{len(rows)} rows but {len(cols)} columns")
+    pivots = 0
+    for i, j in zip(rows, cols):
+        if not (1 <= i <= H.m and 1 <= j <= H.n):
+            raise SubsetError(f"entry ({i},{j}) out of range")
+        mask = H.rows[i - 1]
+        if not mask >> (j - 1) & 1 or mask & pivots:
+            raise StencilError(f"row {i} with pivot column {j} breaks the triangular order")
+        pivots |= 1 << (j - 1)
+    return DiagonalCertificate.triangular(rows, cols)
+
+
+def _certificate_from_sequence(H: Stencil, pairs: list[tuple[int, int]]) -> DiagonalCertificate:
+    """Certificate of a forward triangular sequence of 0-based (row, col)
+    pairs, each column outside the supports of all earlier rows; reversed,
+    the sequence lists an upper-triangular pattern."""
+    return triangular_certificate(
+        H, [i + 1 for i, _ in reversed(pairs)], [j + 1 for _, j in reversed(pairs)]
     )
 
 

@@ -9,18 +9,19 @@ bijection would do; this one makes implicit certificate arithmetic mechanical.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .engine import (
     DEFAULT_NODE_BUDGET,
     DiagonalCertificate,
     VrankResult,
-    _certificate_from_sequence,
-    _peel,
     is_visibly_full_rank,
+    triangular_certificate,
     visible_rank_exact,
 )
-from .stencil import PermutationPair, Stencil, StencilError
+from .stencil import Stencil, StencilError
 
 DEFAULT_MAX_ENTRIES = 1 << 16
 
@@ -123,37 +124,24 @@ def tensor_certificate(
 ) -> DiagonalCertificate:
     """Tensor two certificates into one for tensor_product(H1, H2).
 
-    Nesting the two triangular presentations lexicographically keeps the
-    pattern upper triangular, so the product certificate uses identity
-    permutations on its (reordered) subsets.
+    Each factor's triangular presentation (its subsets in the order of its
+    permutations) is checked on its stencil; raises ``StencilError`` when one
+    is not upper triangular with a star diagonal.  Nesting two such
+    presentations lexicographically gives another, since an entry below the
+    diagonal lies below it in the first factor or, on the first factor's
+    diagonal, below it in the second.
     """
-    tri_rows1 = [c1.row_subset[p - 1] for p in c1.perm_pair.row_perm]
-    tri_cols1 = [c1.col_subset[p - 1] for p in c1.perm_pair.col_perm]
-    tri_rows2 = [c2.row_subset[p - 1] for p in c2.perm_pair.row_perm]
-    tri_cols2 = [c2.col_subset[p - 1] for p in c2.perm_pair.col_perm]
-    rows = tuple((a - 1) * H2.m + b for a in tri_rows1 for b in tri_rows2)
-    cols = tuple((c - 1) * H2.n + d for c in tri_cols1 for d in tri_cols2)
-    # Pattern of the product sub-stencil, straight from the factors.
-    r = len(rows)
-    masks = []
-    for a in tri_rows1:
-        for b in tri_rows2:
-            mask = 0
-            for jj in range(r):
-                c = tri_cols1[jj // len(tri_cols2)]
-                d = tri_cols2[jj % len(tri_cols2)]
-                if H1.star(a, c) and H2.star(b, d):
-                    mask |= 1 << jj
-            masks.append(mask)
-    order = _peel(masks, r)
-    if order is None:
-        raise StencilError("internal error: tensored certificate does not peel")
-    return DiagonalCertificate(
-        rows,
-        cols,
-        PermutationPair.identity(r, r),
-        tuple((i + 1, j + 1) for i, j in order),
+    t1, t2 = (
+        triangular_certificate(
+            H,
+            [c.row_subset[p - 1] for p in c.perm_pair.row_perm],
+            [c.col_subset[p - 1] for p in c.perm_pair.col_perm],
+        )
+        for H, c in ((H1, c1), (H2, c2))
     )
+    rows = [(a - 1) * H2.m + b for a in t1.row_subset for b in t2.row_subset]
+    cols = [(c - 1) * H2.n + d for c in t1.col_subset for d in t2.col_subset]
+    return DiagonalCertificate.triangular(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -192,7 +180,6 @@ def distinct_rank_exact(
     with the disjointness constraints pruning the search."""
     Hk = tensor_power(H, k, max_entries=max_entries)
     masks = list(Hk.rows)
-    n = Hk.n
     row_vals = [frozenset(lab) for lab in Hk.row_labels]
     col_vals = [frozenset(lab) for lab in Hk.col_labels]
 
@@ -242,7 +229,10 @@ def distinct_rank_exact(
                     return
 
     dfs(0, frozenset(), frozenset(), 0)
-    cert = _certificate_from_sequence(Hk, best_pairs)
+    best_pairs.reverse()
+    cert = triangular_certificate(
+        Hk, [r + 1 for r, _ in best_pairs], [c + 1 for _, c in best_pairs]
+    )
     return DistinctRankResult(k, best, cert, not aborted)
 
 
@@ -261,6 +251,25 @@ class CapacityEstimate:
         }
 
 
+def _power_searches(
+    H: Stencil, node_budget: int, time_budget: float | None, max_entries: int
+) -> Iterator[VrankResult]:
+    """Search H^(xk) for k = 1, 2, ... while the power fits in ``max_entries``
+    (level 1 always runs).  Level k is seeded with level k-1's certificate
+    tensored with level 1's, and all levels share ``time_budget`` (each
+    later level gets at least 0.1 s)."""
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    res1 = res = visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
+    yield res1
+    Hk = H
+    while Hk.m * Hk.n * H.m * H.n <= max_entries:
+        remaining = None if deadline is None else max(0.1, deadline - time.monotonic())
+        seed = tensor_certificate(Hk, res.certificate, H, res1.certificate)
+        Hk = tensor_product(Hk, H, max_entries=max_entries)
+        res = visible_rank_exact(Hk, node_budget=node_budget, time_budget=remaining, initial=seed)
+        yield res
+
+
 def capacity_lower_bound(
     H: Stencil,
     k_max: int,
@@ -270,40 +279,19 @@ def capacity_lower_bound(
 ) -> CapacityEstimate:
     """Certified lower bounds on vrk(H^(xk)) for k = 1..k_max.
 
-    Small powers are searched exactly (seeded with the tensored level-1
-    certificate); larger ones fall back to certificate tensoring, plus the
-    implicit diagonal certificate when the row-label shape admits one.
+    Powers that fit in ``max_entries`` are searched, each seeded with the
+    tensored certificate of the level below; larger ones fall back to
+    vrk(H)^k, plus the implicit diagonal certificate when the row-label
+    shape admits one.
     """
     if k_max < 1:
         raise StencilError("tensor power requires k_max >= 1")
-    start = time.monotonic()
-    res1 = visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
-    per_level: dict[int, tuple[int, bool]] = {1: (res1.lower_bound, res1.exact)}
-    lb1 = res1.lower_bound
+    searches = islice(_power_searches(H, node_budget, time_budget, max_entries), k_max)
+    per_level = {k: (res.lower_bound, res.exact) for k, res in enumerate(searches, start=1)}
+    lb1 = per_level[1][0]
     shape_t = _row_group_shape(H)
-
-    prev_pow = H
-    prev_cert = res1.certificate
     for k in range(2, k_max + 1):
-        lb = lb1**k
-        exact = False
-        materializable = (H.m * H.n) ** k <= max_entries
-        remaining = None
-        if time_budget is not None:
-            remaining = max(0.1, time_budget - (time.monotonic() - start))
-        if materializable and prev_pow is not None and prev_cert is not None:
-            Hk = tensor_product(prev_pow, H, max_entries=max_entries)
-            seed = None
-            if prev_cert.size and res1.certificate.size:
-                seed = tensor_certificate(prev_pow, prev_cert, H, res1.certificate)
-            res = visible_rank_exact(
-                Hk, node_budget=node_budget, time_budget=remaining, initial=seed
-            )
-            lb = max(lb, res.lower_bound)
-            exact = res.exact
-            prev_pow, prev_cert = Hk, res.certificate
-        else:
-            prev_pow, prev_cert = None, None
+        lb, exact = per_level.get(k, (lb1**k, False))
         if shape_t == k:
             _, identity = diagonal_tensor_certificate(H, k)
             if identity:
@@ -321,16 +309,10 @@ def tensor_power_vrank(
     time_budget: float | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> VrankResult:
-    """Exact-or-bounded vrk of H^(xk), seeding the incumbent with the tensored
-    level-1 certificate."""
-    if k == 1:
-        return visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
-    _check_power(H, k, max_entries)
-    res1 = visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
-    Hk, seed = H, res1.certificate
-    for _ in range(k - 1):
-        seed = tensor_certificate(Hk, seed, H, res1.certificate)
-        Hk = tensor_product(Hk, H, max_entries=max_entries)
-    return visible_rank_exact(
-        Hk, node_budget=node_budget, time_budget=time_budget, initial=seed
-    )
+    """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop,
+    which searches every power below it and shares ``time_budget`` with
+    them."""
+    if k != 1:
+        _check_power(H, k, max_entries)
+    searches = _power_searches(H, node_budget, time_budget, max_entries)
+    return next(islice(searches, k - 1, None))

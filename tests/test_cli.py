@@ -57,9 +57,7 @@ class TestGen:
         assert code == 2
 
     def test_gen_missing_param_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "gen", "--family", "lrc", "--n", "4")
-        assert exc.value.code == 2
+        assert_input_error(capsys, "gen", "--family", "lrc", "--n", "4")
 
 
 class TestVrank:
@@ -286,6 +284,21 @@ class TestExperiment:
         assert lines[0].rstrip() == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, [1], {"family": "nope", "n": [8], "param": [2]},
+         {"family": "lrc", "n": 8, "param": [2]}, {"family": "lrc", "n": [], "param": [2]},
+         {"family": "lrc", "n": [8], "param": [2], "field": "3"},
+         {"family": "lrc", "n": [8], "param": [2], "delta": "x"},
+         {"family": "lrc", "n": [8], "param": [2], "csv": 5}],
+        ids=["empty-object", "not-an-object", "unknown-family", "n-not-a-list", "empty-sweep",
+             "non-integer-field", "non-number-delta", "non-string-csv"],
+    )
+    def test_malformed_spec_exit_2(self, capsys, tmp_path, doc):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "experiment", "--spec", str(p))
+
     def test_spec_file(self, capsys, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"family": "drgp", "n": [6], "param": [2], "trials": 1}))
@@ -294,6 +307,16 @@ class TestExperiment:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--n", "8", "--t", "2"], ["gen", "--family", "drgp", "--t", "2"],
+         ["verify", "STENCIL", "--family", "lcc", "--n", "8"],
+         ["experiment", "--family", "drgp", "--n", "8"]],
+        ids=["gen-no-family", "gen-no-n", "verify-no-q", "experiment-no-t"],
+    )
+    def test_missing_family_flag_exit_2(self, capsys, d3_path, argv):
+        assert_input_error(capsys, *[d3_path if a == "STENCIL" else a for a in argv])
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

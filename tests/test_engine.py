@@ -13,6 +13,7 @@ from vrank.engine import (
     PROV_ZERO_RECT,
     greedy_lower_bound,
     is_visibly_full_rank,
+    triangular_certificate,
     triangularize,
     visible_rank_bounds,
     visible_rank_exact,
@@ -23,6 +24,7 @@ from vrank.families import gen_drgp, gen_lcc
 from vrank.stencil import (
     Stencil,
     StencilError,
+    SubsetError,
     count_star_diagonals,
     max_matching_size,
     permute,
@@ -60,6 +62,30 @@ class TestPeeling:
         assert ok == (count_star_diagonals(M) == 1)
         if ok:
             assert cert.verify(M)
+
+
+class TestTriangularCertificate:
+    def test_layout(self):
+        # D3's row 1 stars columns 2 and 3, row 2 columns 1 and 3.
+        cert = triangular_certificate(D3, [1, 2], [2, 1])
+        assert cert.perm_pair.row_perm == cert.perm_pair.col_perm == (1, 2)
+        assert cert.peel_order == ((2, 2), (1, 1))
+        assert cert.verify(D3)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([1, 2], [1, 2]), ([1, 3], [2, 1]), ([1, 1], [2, 3]), ([1, 3], [2, 2]), ([1], [2, 1])],
+        ids=["no-star-on-pivot", "star-on-earlier-pivot", "repeated-row", "repeated-column",
+             "length-mismatch"],
+    )
+    def test_rejects_non_triangular(self, rows, cols):
+        with pytest.raises(StencilError):
+            triangular_certificate(D3, rows, cols)
+
+    @pytest.mark.parametrize("rows, cols", [([4], [1]), ([1], [0]), ([0], [2])])
+    def test_rejects_out_of_range(self, rows, cols):
+        with pytest.raises(SubsetError):
+            triangular_certificate(D3, rows, cols)
 
 
 class TestTriangularize:
@@ -121,6 +147,8 @@ class TestExact:
         assert res.lower_bound == brute_vrank(H)
         assert res.certificate.verify(H)
         assert res.certificate.size == res.lower_bound
+        r = res.lower_bound
+        assert res.certificate.peel_order == tuple((k, k) for k in range(r, 0, -1))
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)

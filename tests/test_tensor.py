@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_stencil, rng_for
-from vrank.engine import visible_rank_exact
+from vrank.engine import DiagonalCertificate, is_visibly_full_rank, visible_rank_exact
 from vrank.families import gen_drgp, gen_tensor_gap
-from vrank.stencil import Stencil, StencilError
+from vrank.stencil import PermutationPair, Stencil, StencilError, SubsetError
 from vrank.tensor import (
     TensorSizeError,
     capacity_lower_bound,
@@ -24,6 +24,7 @@ I2 = Stencil.from_rows([1, 2], 2)
 D2 = Stencil.from_rows([0b10, 0b01], 2)
 D3 = Stencil.from_rows([0b110, 0b101, 0b011], 3)
 UNIT = Stencil.from_rows([1], 1)
+L3 = Stencil.from_rows([0b001, 0b011, 0b111], 3)
 
 
 class TestProduct:
@@ -104,6 +105,35 @@ class TestTensorLaws:
             cp = tensor_certificate(H1, c1, H2, c2)
             assert cp.size == c1.size * c2.size
             assert cp.verify(P)
+
+
+class TestTensorCertificate:
+    def test_permuted_factors(self):
+        # Peeling presents a lower-triangular pattern through its permutations.
+        _, c = is_visibly_full_rank(L3)
+        assert c.perm_pair.row_perm != (1, 2, 3)
+        cp = tensor_certificate(L3, c, L3, c)
+        assert cp.size == 9 and cp.verify(tensor_product(L3, L3))
+
+    @pytest.mark.parametrize(
+        "H, rows, cols",
+        [(D3, (1, 2), (1, 2)), (L3, (1, 2, 3), (1, 2, 3))],
+        ids=["no-star-on-pivot", "lower-triangular"],
+    )
+    def test_rejects_non_triangular_factor(self, H, rows, cols):
+        r = len(rows)
+        peel = tuple((k, k) for k in range(r, 0, -1))
+        bad = DiagonalCertificate(rows, cols, PermutationPair.identity(r, r), peel)
+        good = visible_rank_exact(H).certificate
+        for args in ((H, bad, H, good), (H, good, H, bad)):
+            with pytest.raises(StencilError):
+                tensor_certificate(*args)
+
+    def test_rejects_out_of_range_factor(self):
+        good = visible_rank_exact(D3).certificate
+        out = DiagonalCertificate((4,), (1,), PermutationPair.identity(1, 1), ((1, 1),))
+        with pytest.raises(SubsetError):
+            tensor_certificate(D3, good, D3, out)
 
 
 class TestDiagonalCertificate:
@@ -197,6 +227,10 @@ class TestCapacity:
         assert lb2 >= 9
         assert est.best >= 3.0
 
+    def test_all_zero(self):
+        est = capacity_lower_bound(Stencil.from_rows([0, 0], 2), 3)
+        assert est.per_level == {1: (0, True), 2: (0, True), 3: (0, True)}
+
     def test_json_keyed_by_level(self):
         est = capacity_lower_bound(I2, 2)
         assert set(est.to_json()["per_level"]) == {"1", "2"}
@@ -209,3 +243,14 @@ class TestPowerVrank:
             a = tensor_power_vrank(H, 2)
             b = visible_rank_exact(tensor_power(H, 2))
             assert a.exact and b.exact and a.lower_bound == b.lower_bound
+
+    def test_level_three_matches_capacity_and_plain(self):
+        for seed in range(4):
+            for n in (2, 3):
+                H = random_stencil(rng_for(seed), n, n)
+                a = tensor_power_vrank(H, 3)
+                lb, exact = capacity_lower_bound(H, 3).per_level[3]
+                b = visible_rank_exact(tensor_power(H, 3))
+                assert a.exact and exact and b.exact
+                assert a.lower_bound == lb == b.lower_bound
+                assert a.certificate.verify(tensor_power(H, 3))
