@@ -238,7 +238,8 @@ def cmd_certify(args) -> int:
 
 def cmd_minrank(args) -> int:
     H = stencil.read_stencil(args.file)
-    res = gf.minrank_bruteforce(H, args.field, budget=args.budget)
+    time_budget = None if args.budget_ms is None else args.budget_ms / 1000.0
+    res = gf.minrank_bruteforce(H, args.field, budget=args.budget, time_budget=time_budget)
     print(
         json.dumps(
             {
@@ -379,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget-ms", type=int, help="time budget; none by default")
     p.set_defaults(func=cmd_minrank)
 
     p = sub.add_parser("witness", help="construct an explicit witness")

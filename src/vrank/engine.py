@@ -22,7 +22,6 @@ from .stencil import (
     SubsetError,
     is_json_int_list,
     max_matching_size,
-    permute,
     substencil,
 )
 
@@ -33,6 +32,7 @@ EXACT_SIDE_GUARANTEE = 24
 PROV_EXACT = "exact-search"
 PROV_MATCHING = "matching"
 PROV_ZERO_RECT = "zero-rectangle"
+PROV_WITNESS = "witness"
 
 
 class CertificateError(StencilError):
@@ -59,32 +59,39 @@ class DiagonalCertificate:
         return len(self.row_subset)
 
     def verify(self, H: Stencil) -> bool:
+        """True iff the permuted sub-stencil is upper triangular with a star
+        diagonal and ``peel_order`` peels it.  Linear in the size: the
+        triangular order is checked on row masks as in
+        ``triangular_certificate``, and the peel is replayed on H's columns.
+        """
         r = self.size
-        if len(self.col_subset) != r or len(self.peel_order) != r:
+        rp, cp = self.perm_pair.row_perm, self.perm_pair.col_perm
+        if not (len(self.col_subset) == len(self.peel_order) == len(rp) == len(cp) == r):
             return False
-        try:
-            sub = substencil(H, self.row_subset, self.col_subset)
-            tri = permute(sub, self.perm_pair)
-        except StencilError:
+        if not all(1 <= i <= H.m for i in self.row_subset):
             return False
-        for i in range(r):
-            if not tri.star(i + 1, i + 1):
+        if not all(1 <= j <= H.n for j in self.col_subset):
+            return False
+        # The k-th row and column of the triangular pattern; a repeated row
+        # or column stars an earlier pivot and fails the check.
+        pivots = 0
+        for a, b in zip(rp, cp):
+            mask = H.rows[self.row_subset[a - 1] - 1]
+            j = self.col_subset[b - 1] - 1
+            if not mask >> j & 1 or mask & pivots:
                 return False
-            for j in range(1, i + 1):
-                if tri.star(i + 1, j):
-                    return False
-        # Replay the peeling on the sub-stencil.
-        col_active = (1 << r) - 1
-        row_seen = set()
+            pivots |= 1 << j
+        # Replay the peeling; ``pivots`` now holds the columns still active.
+        # r steps that each clear one active column leave none, and a row
+        # peeled twice has no active star left.
         for pi, pj in self.peel_order:
-            if pi in row_seen or not 1 <= pi <= r or not 1 <= pj <= r:
+            if not (1 <= pi <= r and 1 <= pj <= r):
                 return False
-            remaining = sub.rows[pi - 1] & col_active
-            if remaining != 1 << (pj - 1):
+            bit = 1 << (self.col_subset[pj - 1] - 1)
+            if H.rows[self.row_subset[pi - 1] - 1] & pivots != bit:
                 return False
-            row_seen.add(pi)
-            col_active &= ~(1 << (pj - 1))
-        return col_active == 0
+            pivots ^= bit
+        return True
 
     @staticmethod
     def triangular(rows, cols) -> "DiagonalCertificate":
@@ -309,20 +316,27 @@ def visible_rank_exact(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float | None = None,
     initial: DiagonalCertificate | None = None,
+    upper: int | None = None,
 ) -> VrankResult:
     """Exact visible rank by branch-and-bound over triangular row sequences.
 
     The incumbent starts from the greedy bound, or from ``initial`` (a
-    known-valid certificate) when that is larger; no search runs when it
-    already meets the matching bound.  If the search exhausts its node or
-    time budget the result degrades to a sound bracket (``exact=False``)
-    holding the best certificate found, with the upper bound
-    min(matching, zero-rectangle).  The zero-rectangle bound is computed only
-    in that case: a search that completes proves its value without it.
+    known-valid certificate) when that is larger.  ``upper`` is an optional
+    known upper bound on vrk(H), such as the GF(p) rank of a witness of H; an
+    incumbent above it raises ``StencilError``.  No search runs when the
+    incumbent already meets ``upper`` or the matching bound (provenance
+    ``witness`` or ``matching``).  If the search exhausts its node or time
+    budget the result degrades to a sound bracket (``exact=False``) holding
+    the best certificate found, with the upper bound min(matching,
+    zero-rectangle, ``upper``).  The zero-rectangle bound is computed only in
+    that case: a search that completes proves its value without it.
     """
     best, best_cert = greedy_lower_bound(H)
     if initial is not None and initial.size > best:
         best, best_cert = initial.size, initial
+    _check_upper(best, upper)
+    if best == upper:
+        return VrankResult(best, best, best_cert, PROV_WITNESS, exact=True)
     mub = max_matching_size(H)
     if best >= mub:
         return VrankResult(best, best, best_cert, PROV_MATCHING, exact=True)
@@ -333,11 +347,19 @@ def visible_rank_exact(
     if pairs is not None:
         best = value
         best_cert = _certificate_from_sequence(H, pairs)
+        _check_upper(best, upper)
     if completed:
         return VrankResult(best, best, best_cert, PROV_EXACT, exact=True)
-    zub = zero_rectangle_bound(H)
-    ub, prov = (mub, PROV_MATCHING) if mub <= zub else (zub, PROV_ZERO_RECT)
+    bounds = [(mub, PROV_MATCHING), (zero_rectangle_bound(H), PROV_ZERO_RECT)]
+    if upper is not None:
+        bounds.append((upper, PROV_WITNESS))
+    ub, prov = min(bounds, key=lambda b: b[0])
     return VrankResult(best, ub, best_cert, prov, exact=best == ub)
+
+
+def _check_upper(best: int, upper: int | None) -> None:
+    if upper is not None and best > upper:
+        raise StencilError(f"a certificate of size {best} exceeds the known upper bound {upper}")
 
 
 def _may_extend(live: list[tuple[int, int, int]], need: int) -> bool:

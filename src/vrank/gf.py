@@ -8,6 +8,7 @@ desk scale beats shipping everything through numpy.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .engine import visible_rank_exact
@@ -118,8 +119,12 @@ class MinrankResult:
     exhaustive: bool
 
 
+#: Matrices evaluated between two reads of the clock under a time budget.
+CLOCK_STRIDE = 256
+
+
 def minrank_bruteforce(
-    H: Stencil, p: int, budget: int = 2_000_000
+    H: Stencil, p: int, budget: int = 2_000_000, time_budget: float | None = None
 ) -> MinrankResult:
     """Minimum rank over all GF(p)-witnesses of H, up to row and column scaling.
 
@@ -140,9 +145,12 @@ def minrank_bruteforce(
     max(1, vrk lower bound) (0 without stars), since vrk(H) <= rank(W) for
     every witness W; the lower bound is certified by a visible-rank search
     limited to ``budget`` nodes.  The budget counts matrices evaluated;
-    exhaustion degrades to best-found (``exhaustive=False``).
+    exhaustion degrades to best-found (``exhaustive=False``).  So does
+    ``time_budget`` (seconds), whose deadline bounds the floor search too and
+    is read every ``CLOCK_STRIDE`` matrices.
     """
     _check_prime(p)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     stars = H.stars()
     grid = [[0] * H.n for _ in range(H.m)]
     parent = list(range(H.m + H.n))  # rows 0..m-1, then columns
@@ -163,7 +171,8 @@ def minrank_bruteforce(
             parent[a] = b
     floor_rank = 0
     if stars:
-        floor_rank = max(1, visible_rank_exact(H, node_budget=budget).lower_bound)
+        floor = visible_rank_exact(H, node_budget=budget, time_budget=time_budget)
+        floor_rank = max(1, floor.lower_bound)
 
     best_val = H.m + 1
     best_grid = grid
@@ -189,6 +198,12 @@ def minrank_bruteforce(
             exhausted_all = True
             break
         if evaluated >= budget:
+            break
+        if (
+            deadline is not None
+            and evaluated % CLOCK_STRIDE == 0
+            and time.monotonic() > deadline
+        ):
             break
     witness = WitnessMatrix(p, tuple(tuple(row) for row in best_grid), H)
     return MinrankResult(p, best_val, witness, exhausted_all)

@@ -1,4 +1,4 @@
-"""Stencil data model, serialization, and small combinatorial oracles.
+"""Stencil data model, serialization, and maximum bipartite matching.
 
 A stencil is an m x n pattern over {0, *} together with integer-tuple labels
 on its rows and columns.  Entries are stored as one bitmask per row (bit j
@@ -15,9 +15,6 @@ import json
 from dataclasses import dataclass
 
 Label = tuple[int, ...]
-
-#: Hard side limit for the star-diagonal counting oracle.
-PERMANENT_SIDE_LIMIT = 20
 
 
 class StencilError(ValueError):
@@ -50,10 +47,6 @@ class SubsetError(StencilError):
 
 class PermutationSizeError(StencilError):
     pass
-
-
-class OracleLimitError(StencilError):
-    """Input exceeds a brute-force oracle's hard size limit."""
 
 
 def is_json_int(x) -> bool:
@@ -242,32 +235,6 @@ def substencil(H: Stencil, row_subset, col_subset) -> Stencil:
     rl = tuple(H.row_labels[i - 1] for i in rows)
     cl = tuple(H.col_labels[j - 1] for j in cols)
     return Stencil(len(rows), len(cols), tuple(masks), rl, cl)
-
-
-def count_star_diagonals(M: Stencil) -> int:
-    """Number of permutations pi with all entries (i, pi(i)) stars.
-
-    This is the permanent of the 0/1 pattern, computed by inclusion-exclusion
-    over column subsets (Ryser).  It exists purely as a test oracle and
-    enforces a hard side limit.
-    """
-    if M.m != M.n:
-        raise StencilError("count_star_diagonals requires a square stencil")
-    n = M.n
-    if n > PERMANENT_SIDE_LIMIT:
-        raise OracleLimitError(f"side {n} exceeds oracle limit {PERMANENT_SIDE_LIMIT}")
-    total = 0
-    for S in range(1 << n):
-        prod = 1
-        for row in M.rows:
-            prod *= (row & S).bit_count()
-            if not prod:
-                break
-        if (n - S.bit_count()) & 1:
-            total -= prod
-        else:
-            total += prod
-    return total
 
 
 def max_matching_size(H: Stencil) -> int:

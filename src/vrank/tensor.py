@@ -21,6 +21,7 @@ from .engine import (
     triangular_certificate,
     visible_rank_exact,
 )
+from .gf import gf_rank, is_prime, low_rank_witness, validate_witness
 from .stencil import Stencil, StencilError
 
 DEFAULT_MAX_ENTRIES = 1 << 16
@@ -238,35 +239,84 @@ def distinct_rank_exact(
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """Per-tensor-level certified lower bounds on vrk(H^(xk)) and the best
-    value of vrk(H^(xk))^(1/k) among them."""
+    """Per-tensor-level certified lower bounds on vrk(H^(xk)), the best
+    value of vrk(H^(xk))^(1/k) among them, and a sound upper bound per level.
+
+    ``per_level[k]`` is (lower, exact), where exact means that the lower
+    bound meets ``upper[k]``.
+    """
 
     per_level: dict[int, tuple[int, bool]]
     best: float
+    upper: dict[int, int]
 
     def to_json(self) -> dict:
         return {
-            "per_level": {str(k): {"lower": v, "exact": e} for k, (v, e) in self.per_level.items()},
+            "per_level": {
+                str(k): {"lower": v, "upper": self.upper[k], "exact": e}
+                for k, (v, e) in self.per_level.items()
+            },
             "best": self.best,
         }
 
 
+def _witness_rank(H: Stencil, k_max: int, max_entries: int) -> int | None:
+    """Smallest GF(p) rank of the polynomial witness of H for p the three
+    smallest primes >= max(n, 2).  Each witness is validated, so
+    vrk(H) <= rank(W), and its Kronecker powers are witnesses of the tensor
+    powers, so vrk(H^(xk)) <= rank(W)^k.
+
+    None unless a level k >= 2 will be materialised: a stencil searched only
+    at level 1 does not pay for the eliminations.
+    """
+    if k_max < 2 or (H.m * H.n) ** 2 > max_entries:
+        return None
+    ranks: list[int] = []
+    p = max(H.n, 2)
+    while len(ranks) < 3:
+        if is_prime(p):
+            W = low_rank_witness(H, p)
+            ok, at = validate_witness(W)
+            if not ok:
+                raise StencilError(f"the GF({p}) witness misses the star pattern at {at}")
+            ranks.append(gf_rank(W))
+        p += 1
+    return min(ranks)
+
+
 def _power_searches(
-    H: Stencil, node_budget: int, time_budget: float | None, max_entries: int
+    H: Stencil,
+    k_max: int,
+    w: int | None,
+    node_budget: int,
+    time_budget: float | None,
+    max_entries: int,
 ) -> Iterator[VrankResult]:
-    """Search H^(xk) for k = 1, 2, ... while the power fits in ``max_entries``
-    (level 1 always runs).  Level k is seeded with level k-1's certificate
-    tensored with level 1's, and all levels share ``time_budget`` (each
+    """Search H^(xk) for k = 1, ..., k_max while the power fits in
+    ``max_entries`` (level 1 always runs).  Level k is seeded with level
+    k-1's certificate tensored with level 1's and, when the witness rank
+    ``w`` is known, given the upper bound w^k, which closes it without a
+    search once the seed meets it.  All levels share ``time_budget`` (each
     later level gets at least 0.1 s)."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    res1 = res = visible_rank_exact(H, node_budget=node_budget, time_budget=time_budget)
+    res1 = res = visible_rank_exact(
+        H, node_budget=node_budget, time_budget=time_budget, upper=w
+    )
     yield res1
     Hk = H
-    while Hk.m * Hk.n * H.m * H.n <= max_entries:
+    for k in range(2, k_max + 1):
+        if Hk.m * Hk.n * H.m * H.n > max_entries:
+            return
         remaining = None if deadline is None else max(0.1, deadline - time.monotonic())
         seed = tensor_certificate(Hk, res.certificate, H, res1.certificate)
         Hk = tensor_product(Hk, H, max_entries=max_entries)
-        res = visible_rank_exact(Hk, node_budget=node_budget, time_budget=remaining, initial=seed)
+        res = visible_rank_exact(
+            Hk,
+            node_budget=node_budget,
+            time_budget=remaining,
+            initial=seed,
+            upper=None if w is None else w**k,
+        )
         yield res
 
 
@@ -277,29 +327,35 @@ def capacity_lower_bound(
     time_budget: float | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> CapacityEstimate:
-    """Certified lower bounds on vrk(H^(xk)) for k = 1..k_max.
+    """Certified lower bounds on vrk(H^(xk)) for k = 1..k_max, each with a
+    sound upper bound.
 
     Powers that fit in ``max_entries`` are searched, each seeded with the
-    tensored certificate of the level below; larger ones fall back to
-    vrk(H)^k, plus the implicit diagonal certificate when the row-label
-    shape admits one.
+    tensored certificate of the level below and bounded above by the witness
+    rank w^k (see ``_witness_rank``); the upper bound of a searched level is
+    the search's, which is at most w^k.  Larger powers fall back to
+    vrk(H)^k, plus the implicit diagonal certificate when the row-label shape
+    admits one, below w^k, or below min(m, n)^k when no witness was built.
     """
     if k_max < 1:
         raise StencilError("tensor power requires k_max >= 1")
-    searches = islice(_power_searches(H, node_budget, time_budget, max_entries), k_max)
-    per_level = {k: (res.lower_bound, res.exact) for k, res in enumerate(searches, start=1)}
-    lb1 = per_level[1][0]
+    w = _witness_rank(H, k_max, max_entries)
+    searches = _power_searches(H, k_max, w, node_budget, time_budget, max_entries)
+    lower, upper = {}, {}
+    for k, res in enumerate(searches, start=1):
+        lower[k], upper[k] = res.lower_bound, res.upper_bound
+    cap = w if w is not None else min(H.m, H.n)
     shape_t = _row_group_shape(H)
     for k in range(2, k_max + 1):
-        lb, exact = per_level.get(k, (lb1**k, False))
+        if k not in lower:
+            lower[k], upper[k] = lower[1] ** k, cap**k
         if shape_t == k:
             _, identity = diagonal_tensor_certificate(H, k)
             if identity:
-                lb = max(lb, H.n)
-        per_level[k] = (lb, exact)
-
-    best = max(v ** (1.0 / k) for k, (v, _) in per_level.items())
-    return CapacityEstimate(per_level, best)
+                lower[k] = max(lower[k], H.n)
+    per_level = {k: (lb, lb == upper[k]) for k, lb in lower.items()}
+    best = max(v ** (1.0 / k) for k, v in lower.items())
+    return CapacityEstimate(per_level, best, upper)
 
 
 def tensor_power_vrank(
@@ -310,9 +366,10 @@ def tensor_power_vrank(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> VrankResult:
     """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop,
-    which searches every power below it and shares ``time_budget`` with
-    them."""
+    which searches every power below it, shares ``time_budget`` with them and
+    bounds each level by the witness rank of H."""
     if k != 1:
         _check_power(H, k, max_entries)
-    searches = _power_searches(H, node_budget, time_budget, max_entries)
+    w = _witness_rank(H, k, max_entries)
+    searches = _power_searches(H, k, w, node_budget, time_budget, max_entries)
     return next(islice(searches, k - 1, None))

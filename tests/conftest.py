@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's search code so they can
 serve as ground truth: visible rank is recomputed by enumerating every square
 sub-stencil and counting its star diagonals via the permanent, spanoid rank
 by enumerating subsets of the universe and closing each under the spanoid's
-inference rules, and min-rank by ranking every GF(p) witness.
+inference rules, min-rank by ranking every GF(p) witness, and a certificate
+by materialising its permuted sub-stencil.
 """
 
 from itertools import combinations, permutations, product
@@ -12,9 +13,17 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
+from vrank.engine import DiagonalCertificate
 from vrank.gf import gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
-from vrank.stencil import Stencil, count_star_diagonals, substencil
+from vrank.stencil import Stencil, StencilError, permute, substencil
+
+#: Hard side limit of the star-diagonal counting oracle.
+PERMANENT_SIDE_LIMIT = 20
+
+
+class OracleLimitError(StencilError):
+    """Input exceeds a brute-force oracle's hard size limit."""
 
 
 def random_stencil(rng: np.random.Generator, m: int, n: int, density: float = 0.5) -> Stencil:
@@ -24,6 +33,61 @@ def random_stencil(rng: np.random.Generator, m: int, n: int, density: float = 0.
 
 def rng_for(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def count_star_diagonals(M: Stencil) -> int:
+    """Number of permutations pi with all entries (i, pi(i)) stars.
+
+    This is the permanent of the 0/1 pattern, computed by inclusion-exclusion
+    over column subsets (Ryser), with a hard side limit.
+    """
+    if M.m != M.n:
+        raise StencilError("count_star_diagonals requires a square stencil")
+    n = M.n
+    if n > PERMANENT_SIDE_LIMIT:
+        raise OracleLimitError(f"side {n} exceeds oracle limit {PERMANENT_SIDE_LIMIT}")
+    total = 0
+    for S in range(1 << n):
+        prod = 1
+        for row in M.rows:
+            prod *= (row & S).bit_count()
+            if not prod:
+                break
+        if (n - S.bit_count()) & 1:
+            total -= prod
+        else:
+            total += prod
+    return total
+
+
+def verify_by_substencil(cert: DiagonalCertificate, H: Stencil) -> bool:
+    """``DiagonalCertificate.verify`` the quadratic way: materialise the
+    sub-stencil, permute it, probe every entry on and below the diagonal, and
+    replay the peeling on the sub-stencil."""
+    r = cert.size
+    if len(cert.col_subset) != r or len(cert.peel_order) != r:
+        return False
+    try:
+        sub = substencil(H, cert.row_subset, cert.col_subset)
+        tri = permute(sub, cert.perm_pair)
+    except StencilError:
+        return False
+    for i in range(r):
+        if not tri.star(i + 1, i + 1):
+            return False
+        for j in range(1, i + 1):
+            if tri.star(i + 1, j):
+                return False
+    col_active = (1 << r) - 1
+    row_seen = set()
+    for pi, pj in cert.peel_order:
+        if pi in row_seen or not 1 <= pi <= r or not 1 <= pj <= r:
+            return False
+        if sub.rows[pi - 1] & col_active != 1 << (pj - 1):
+            return False
+        row_seen.add(pi)
+        col_active &= ~(1 << (pj - 1))
+    return col_active == 0
 
 
 def brute_vrank(H: Stencil) -> int:

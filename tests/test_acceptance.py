@@ -15,6 +15,7 @@ import pytest
 from tests.conftest import (
     brute_spanoid_rank,
     brute_vrank,
+    count_star_diagonals,
     random_stencil,
     rng_for,
 )
@@ -45,7 +46,7 @@ from vrank.spanoid import (
     canonical_stencil,
     span_closure,
 )
-from vrank.stencil import Stencil, count_star_diagonals
+from vrank.stencil import Stencil
 from vrank.tensor import (
     diagonal_tensor_certificate,
     distinct_rank_exact,

@@ -139,12 +139,30 @@ class TestTensor:
         assert code == 2 and cap.out == ""
         assert "requires k_max >= 1" in cap.err
 
+    def test_levels_carry_upper(self, capsys, d3_path):
+        # D3: vrk 2, and its GF(3) witness has rank 2.
+        code, out = run(capsys, "tensor", d3_path, "--power", "2")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["per_level"] == {
+            "1": {"lower": 2, "upper": 2, "exact": True},
+            "2": {"lower": 4, "upper": 4, "exact": True},
+        }
+
 
 class TestMinrankWitness:
     def test_minrank_d3(self, capsys, d3_path):
         code, out = run(capsys, "minrank", d3_path, "--field", "3")
         doc = json.loads(out)
         assert code == 0 and doc["minrank"] == 2 and doc["exhaustive"]
+
+    def test_minrank_time_budget(self, capsys, tmp_path):
+        p = str(tmp_path / "h.json")
+        run(capsys, "gen", "--family", "drgp", "--n", "8", "--t", "2", "--seed", "0", "-o", p)
+        code, out = run(capsys, "minrank", p, "--field", "3", "--budget-ms", "200")
+        doc = json.loads(out)
+        assert code == 0 and not doc["exhaustive"]
+        assert doc["minrank"] >= 6
 
     def test_minrank_nonprime_exit_2(self, capsys, d3_path):
         code, _ = run(capsys, "minrank", d3_path, "--field", "4")

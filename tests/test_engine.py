@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_vrank, random_stencil, rng_for
+import vrank.engine as engine
+from tests.conftest import (
+    brute_vrank,
+    count_star_diagonals,
+    random_stencil,
+    rng_for,
+    verify_by_substencil,
+)
 from vrank.engine import (
     PROV_EXACT,
+    PROV_WITNESS,
     PROV_ZERO_RECT,
+    DiagonalCertificate,
     greedy_lower_bound,
     is_visibly_full_rank,
     triangular_certificate,
@@ -21,11 +30,13 @@ from vrank.engine import (
     zero_rectangle_bound,
 )
 from vrank.families import gen_drgp, gen_lcc
+from vrank.tensor import tensor_certificate, tensor_product
+from vrank.gf import gf_rank, low_rank_witness, validate_witness
 from vrank.stencil import (
+    PermutationPair,
     Stencil,
     StencilError,
     SubsetError,
-    count_star_diagonals,
     max_matching_size,
     permute,
     substencil,
@@ -86,6 +97,86 @@ class TestTriangularCertificate:
     def test_rejects_out_of_range(self, rows, cols):
         with pytest.raises(SubsetError):
             triangular_certificate(D3, rows, cols)
+
+
+def one_entry_mutations(cert: DiagonalCertificate, m: int, n: int):
+    """Certificates that differ from ``cert`` in one entry: a row, column or
+    peel index set to another value (out of range included), two entries of
+    one or both permutations swapped, or a list cut short by one."""
+    r = cert.size
+    rp, cp = cert.perm_pair.row_perm, cert.perm_pair.col_perm
+
+    def make(rows=cert.row_subset, cols=cert.col_subset, perms=cert.perm_pair,
+             peel=cert.peel_order):
+        return DiagonalCertificate(tuple(rows), tuple(cols), perms, tuple(peel))
+
+    for k in range(r):
+        for v in range(m + 2):
+            if v != cert.row_subset[k]:
+                yield make(rows=cert.row_subset[:k] + (v,) + cert.row_subset[k + 1:])
+        for v in range(n + 2):
+            if v != cert.col_subset[k]:
+                yield make(cols=cert.col_subset[:k] + (v,) + cert.col_subset[k + 1:])
+        for side in range(2):
+            for v in range(r + 2):
+                pair = list(cert.peel_order[k])
+                if v != pair[side]:
+                    pair[side] = v
+                    peel = list(cert.peel_order)
+                    peel[k] = tuple(pair)
+                    yield make(peel=peel)
+        for k2 in range(k + 1, r):
+            srp, scp = list(rp), list(cp)
+            srp[k], srp[k2] = srp[k2], srp[k]
+            scp[k], scp[k2] = scp[k2], scp[k]
+            # Swapping both keeps a star diagonal but can break the order.
+            for pair in ((srp, cp), (rp, scp), (srp, scp)):
+                yield make(perms=PermutationPair(tuple(pair[0]), tuple(pair[1])))
+    if r:
+        yield make(rows=cert.row_subset[:-1])
+        yield make(cols=cert.col_subset[:-1])
+        yield make(peel=cert.peel_order[:-1])
+
+
+class TestVerify:
+    @given(st.integers(0, 2**30), st.integers(1, 5), st.integers(1, 5),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_quadratic_check(self, seed, m, n, density):
+        rng = rng_for(seed)
+        H = random_stencil(rng, m, n, density)
+        certs = [visible_rank_exact(H).certificate]
+        # A square sub-stencil's peeling certificate has non-identity
+        # permutations and peel order.
+        k = int(rng.integers(1, min(m, n) + 1))
+        rows = [int(i) + 1 for i in rng.choice(m, size=k, replace=False)]
+        cols = [int(j) + 1 for j in rng.choice(n, size=k, replace=False)]
+        ok, c = is_visibly_full_rank(substencil(H, rows, cols))
+        if ok:
+            certs.append(DiagonalCertificate(
+                tuple(rows[i - 1] for i in c.row_subset),
+                tuple(cols[j - 1] for j in c.col_subset),
+                c.perm_pair, c.peel_order))
+        for cert in certs:
+            assert cert.verify(H) and verify_by_substencil(cert, H)
+            for bad in one_entry_mutations(cert, m, n):
+                assert bad.verify(H) == verify_by_substencil(bad, H), bad
+            # The same certificate on each stencil one entry away from H.
+            for i in range(m):
+                for j in range(n):
+                    flipped = list(H.rows)
+                    flipped[i] ^= 1 << j
+                    F = Stencil.from_rows(flipped, n)
+                    assert cert.verify(F) == verify_by_substencil(cert, F)
+
+    def test_staircase_linear(self):
+        # Rows {j, j+1}: the certificate lists rows and columns 1..n.
+        n = 1500
+        H = Stencil.from_rows([(0b11 << i) & ((1 << n) - 1) for i in range(n)], n)
+        cert = triangular_certificate(H, range(1, n + 1), range(1, n + 1))
+        start = time.monotonic()
+        assert cert.verify(H)
+        assert time.monotonic() - start < 0.2
 
 
 class TestTriangularize:
@@ -194,6 +285,38 @@ class TestExact:
             sys.setrecursionlimit(limit)
         assert res.exact and res.lower_bound == n
         assert res.certificate.verify(H)
+
+    def test_upper_met_by_incumbent_skips_search(self, monkeypatch):
+        H = gen_drgp(6, 2, 1)
+        P = tensor_product(H, H)
+        cert = visible_rank_exact(H).certificate
+        seed = tensor_certificate(H, cert, H, cert)
+        monkeypatch.setattr(engine, "_urm_search", None)
+        res = engine.visible_rank_exact(P, initial=seed, upper=seed.size)
+        assert res.exact and res.upper_provenance == PROV_WITNESS
+        assert res.lower_bound == res.upper_bound == 25 and res.certificate.verify(P)
+
+    def test_upper_below_incumbent_raises(self):
+        with pytest.raises(StencilError):
+            visible_rank_exact(I5, upper=4)
+        H = gen_drgp(8, 2, 0)  # greedy 4, vrk 6: the search's incumbent exceeds 5
+        with pytest.raises(StencilError):
+            visible_rank_exact(H, upper=5)
+
+    def test_budget_stop_reports_witness(self):
+        # The tensor square of a DRGP-6 stencil: the witness bound 5^2 = 25
+        # is below the zero-rectangle (31) and matching (36) bounds, and a
+        # one-node search stops at the greedy 16.
+        H = gen_drgp(6, 2, 1)
+        witnesses = [low_rank_witness(H, p) for p in (7, 11, 13)]
+        assert all(validate_witness(W)[0] for W in witnesses)
+        w = min(map(gf_rank, witnesses))
+        P = tensor_product(H, H)
+        res = visible_rank_exact(P, node_budget=1, upper=w**2)
+        assert w**2 < min(zero_rectangle_bound(P), max_matching_size(P))
+        assert not res.exact and res.lower_bound < res.upper_bound == w**2
+        assert res.upper_provenance == PROV_WITNESS
+        assert res.certificate.verify(P)
 
     def test_provenance_tag(self):
         H = random_stencil(rng_for(5), 8, 8)

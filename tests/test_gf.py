@@ -1,11 +1,14 @@
 """GF(p) witnesses: validation, rank, brute-force min-rank, low-rank construction."""
 
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import brute_minrank, random_stencil, rng_for
 from vrank.engine import visible_rank_exact
+from vrank.families import gen_drgp
 from vrank.gf import (
     FieldError,
     WitnessMatrix,
@@ -111,6 +114,15 @@ class TestMinrank:
         assert res.value >= full.value
         assert validate_witness(res.witness)[0]
 
+    def test_time_budget_kept(self):
+        # 49 free stars: the 2M-matrix budget takes about 100 s here.
+        H = gen_drgp(8, 2, 0)
+        start = time.monotonic()
+        res = minrank_bruteforce(H, 3, time_budget=0.5)
+        assert time.monotonic() - start < 1.5
+        assert not res.exhaustive
+        assert validate_witness(res.witness)[0] and gf_rank(res.witness) == res.value
+
     @given(st.integers(0, 2**30), st.integers(1, 4), st.integers(1, 4),
            st.sampled_from([0.3, 0.6, 0.9]), st.sampled_from([2, 3, 5]))
     @example(1941, 4, 3, 0.6, 3)  # fixing its first cycle-closing star to 1 misses the minimum
@@ -162,6 +174,16 @@ class TestLowRankWitness:
         assert validate_witness(W)[0]
         d = max(n - mask.bit_count() for mask in H.rows)
         assert gf_rank(W) <= d + 1
+
+    @given(st.integers(0, 2**30), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([0.3, 0.5, 0.7]), st.sampled_from([7, 11, 13]))
+    @settings(max_examples=80, deadline=None)
+    def test_rank_above_visible_rank(self, seed, m, n, density, p):
+        # The sandwich behind the tensor levels' witness upper bound.
+        H = random_stencil(rng_for(seed), m, n, density)
+        W = low_rank_witness(H, p)
+        assert validate_witness(W)[0]
+        assert gf_rank(W) >= visible_rank_exact(H).lower_bound
 
     def test_dn_gf2_caution(self):
         # The unique GF(2) witness of the off-diagonal pattern has high rank,

@@ -8,19 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import permanent_by_permutations, random_stencil, rng_for
+from tests.conftest import (
+    OracleLimitError,
+    count_star_diagonals,
+    permanent_by_permutations,
+    random_stencil,
+    rng_for,
+)
 from vrank.stencil import (
     DuplicateLabelError,
     IllegalCharacterError,
     MalformedHeaderError,
-    OracleLimitError,
     PermutationPair,
     PermutationSizeError,
     RaggedRowError,
     Stencil,
     StencilError,
     SubsetError,
-    count_star_diagonals,
     max_matching_size,
     parse_stencil,
     permute,

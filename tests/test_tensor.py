@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_stencil, rng_for
-from vrank.engine import DiagonalCertificate, is_visibly_full_rank, visible_rank_exact
+import vrank.engine as engine
+import vrank.tensor as tensor
+from vrank.engine import (
+    PROV_WITNESS,
+    DiagonalCertificate,
+    is_visibly_full_rank,
+    visible_rank_exact,
+)
 from vrank.families import gen_drgp, gen_tensor_gap
 from vrank.stencil import PermutationPair, Stencil, StencilError, SubsetError
 from vrank.tensor import (
@@ -234,6 +241,59 @@ class TestCapacity:
     def test_json_keyed_by_level(self):
         est = capacity_lower_bound(I2, 2)
         assert set(est.to_json()["per_level"]) == {"1", "2"}
+
+    def test_json_level_bracket(self):
+        doc = capacity_lower_bound(gen_drgp(6, 2, 0), 2).to_json()["per_level"]
+        # The witness rank of this stencil is 6, one above its vrk 5.
+        assert doc["1"] == {"lower": 5, "upper": 5, "exact": True}
+        assert doc["2"]["upper"] <= 36 and doc["2"]["exact"]
+
+
+class TestWitnessBound:
+    def test_level_two_closed_without_search(self, monkeypatch):
+        calls = []
+        search = engine._urm_search
+
+        def counting(masks, n, *args):
+            calls.append(n)
+            return search(masks, n, *args)
+
+        monkeypatch.setattr(engine, "_urm_search", counting)
+        H = gen_drgp(6, 2, 5)
+        est = capacity_lower_bound(H, 2)
+        assert est.per_level == {1: (5, True), 2: (25, True)}
+        assert est.upper == {1: 5, 2: 25}
+        assert H.n * H.n not in calls
+
+    def test_tensor_power_vrank_reports_witness(self):
+        H = gen_drgp(6, 2, 5)
+        res = tensor_power_vrank(H, 2)
+        assert res.exact and res.upper_provenance == PROV_WITNESS
+        assert res.lower_bound == 25 and res.certificate.verify(tensor_power(H, 2))
+
+    @given(st.integers(0, 2**30), st.integers(2, 4), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_level_two_matches_plain(self, seed, m, n):
+        H = random_stencil(rng_for(seed), m, n)
+        P = tensor_power(H, 2)
+        plain = visible_rank_exact(P)
+        lb, exact = capacity_lower_bound(H, 2).per_level[2]
+        res = tensor_power_vrank(H, 2)
+        assert plain.exact and exact and res.exact
+        assert lb == res.lower_bound == plain.lower_bound
+        assert res.certificate.verify(P) and plain.certificate.verify(P)
+
+    def test_unsearched_level_exact_at_witness_power(self):
+        # DRGP-4 seed 0 has vrk 3 and witness rank 3; H^(x3) has 32^3 entries.
+        est = capacity_lower_bound(gen_drgp(4, 2, 0), 3, max_entries=2000)
+        assert est.per_level[3] == (27, True) and est.upper[3] == 27
+
+    def test_no_witness_without_a_second_level(self, monkeypatch):
+        monkeypatch.setattr(tensor, "low_rank_witness", None)
+        H = gen_drgp(9, 2, 2)
+        est = capacity_lower_bound(H, 2, max_entries=1)
+        assert est.upper == {1: est.per_level[1][0], 2: 81}
+        assert capacity_lower_bound(H, 1).upper[1] == est.upper[1]
 
 
 class TestPowerVrank:
