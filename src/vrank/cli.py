@@ -73,6 +73,11 @@ class ExperimentSpec:
             raise SpecError("empty sweep")
         if self.trials < 1:
             raise SpecError("trials must be >= 1")
+        if self.budget_ms < 0:
+            raise SpecError("budget_ms must be >= 0")
+        p = self.field_p
+        if p is not None and not (gf.is_prime(p) and p <= gf.MAX_PRIME):
+            raise SpecError(f"field {p} is not a prime up to {gf.MAX_PRIME}")
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentSpec":
@@ -145,8 +150,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
                     row["tensor_cert"] = str(identity).lower()
                 if spec.field_p is not None:
                     p = spec.field_p
-                    n_stars = H.star_count()
-                    if (p - 1) ** n_stars <= 100_000:
+                    if (p - 1) ** len(gf.free_stars(H)) <= 100_000:
                         mres = gf.minrank_bruteforce(H, p)
                         row["minrank_p"] = p
                         row["minrank_val"] = mres.value

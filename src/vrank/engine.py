@@ -249,20 +249,15 @@ def greedy_lower_bound(H: Stencil) -> tuple[int, DiagonalCertificate]:
     """Greedy triangular sequence: scan rows by ascending support size, keep a
     row whenever it still has a star in an unblocked column, then block its
     whole support.  For an ell-LRC stencil this yields >= ceil(n/(ell+1))."""
-    pairs = _greedy_pairs(H.rows)
-    return len(pairs), _certificate_from_sequence(H, pairs)
-
-
-def _greedy_pairs(masks) -> list[tuple[int, int]]:
-    order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i))
+    masks = H.rows
     blocked = 0
     pairs: list[tuple[int, int]] = []
-    for i in order:
+    for i in sorted(range(H.m), key=lambda i: (masks[i].bit_count(), i)):
         fresh = masks[i] & ~blocked
         if fresh:
             pairs.append((i, (fresh & -fresh).bit_length() - 1))
             blocked |= masks[i]
-    return pairs
+    return len(pairs), _certificate_from_sequence(H, pairs)
 
 
 def zero_rectangle_bound(H: Stencil, a_max: int = 3, max_subsets: int = 2_000_000) -> int:
@@ -400,20 +395,35 @@ def _urm_search(
     incumbent: int,
     node_budget: int,
     time_budget: float | None,
+    row_vals: list[int] | None = None,
+    col_vals: list[int] | None = None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """Core search.  Returns (best, improving sequence or None, completed).
 
     Depth-first over an explicit stack, so a deep sequence cannot hit the
     interpreter's recursion limit; the deadline is read at every node.
-    """
+
+    The value bitmasks ``row_vals`` and ``col_vals`` (all zero by default)
+    keep the rows, and the pivot columns, pairwise disjoint in value, as
+    distinct rank asks: a pivot adds the columns sharing its values to B, a
+    row drops the rows sharing its values from the candidates below it and
+    adds them, shifted past the n columns, to UR, and the memo key is
+    B | UR.  The forced move needs a row and a column without values."""
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    # Distinct supports only: a row duplicating another's support can never
+    row_vals = [v << n for v in row_vals] if row_vals else [0] * len(masks)
+    # The columns each pivot column blocks: those sharing one of its values.
+    classes = bool(col_vals) and any(col_vals)
+    conflict = [0] * n
+    if classes:
+        conflict = [sum(1 << d for d, w in enumerate(col_vals) if v & w) for v in col_vals]
+    # Distinct (support, values) only: a row duplicating another's can never
     # join the same triangular sequence.
-    seen_supports: set[int] = set()
+    seen_rows: set[int] = set()
     rows: list[tuple[int, int]] = []  # (mask, original index)
     for idx, mask in enumerate(masks):
-        if mask and mask not in seen_supports:
-            seen_supports.add(mask)
+        key = mask | row_vals[idx]
+        if mask and key not in seen_rows:
+            seen_rows.add(key)
             rows.append((mask, idx))
 
     best = incumbent
@@ -421,10 +431,11 @@ def _urm_search(
     visited: dict[int, int] = {}
     nodes = 0
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
-    # Frames of the nodes being expanded: (B, depth, candidates for the
-    # children, iterator over the children not yet tried).
-    stack: list[tuple[int, int, list[tuple[int, int]], Iterator[tuple[int, int, int]]]] = []
-    B, depth, cands = 0, 0, rows
+    # Frames of the nodes being expanded: (B, UR, depth, candidates for the
+    # children, iterator over the children not yet tried).  A child is
+    # (columns it blocks, row, columns whose lowest is its pivot).
+    stack: list[tuple[int, int, int, list[tuple[int, int]], Iterator[tuple[int, int, int]]]] = []
+    B, UR, depth, cands = 0, 0, 0, rows
     while True:
         nodes += 1
         if nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
@@ -432,25 +443,26 @@ def _urm_search(
         if depth > best:
             best = depth
             best_seq = seq.copy()
-        prev = visited.get(B)
+        prev = visited.get(B | UR)
         if prev is None or prev < depth:
-            visited[B] = depth
+            visited[B | UR] = depth
             live = [(mask, idx, mask & ~B) for mask, idx in cands if mask & ~B]
             if live and _may_extend(live, best - depth + 1):
-                # Forced move: a candidate adding exactly one fresh column can
-                # always be taken first without loss.
-                forced = next((t for t in live if t[2].bit_count() == 1), None)
+                # Forced move: a row adding one fresh column can be taken
+                # first without loss when neither of them has values.
+                forced = next((t for t in live if t[2].bit_count() == 1
+                               and not row_vals[t[1]] | conflict[t[2].bit_length() - 1]), None)
                 if forced is None:
                     live.sort(key=lambda t: (t[2].bit_count(), t[1]))
-                    kids = live
+                    kids = _pivot_classes(live, conflict) if classes else live
                 else:
                     kids = [forced]
-                stack.append((B, depth, [(mk, ix) for mk, ix, _ in live], iter(kids)))
+                stack.append((B, UR, depth, [(mk, ix) for mk, ix, _ in live], iter(kids)))
         # Move to the next child of the deepest frame that has one left.
         while stack:
-            pB, pdepth, pcands, kids = stack[-1]
-            for mask, idx, fresh in kids:
-                nb = pB | mask
+            pB, pUR, pdepth, pcands, kids = stack[-1]
+            for block, idx, fresh in kids:
+                nb = pB | block
                 if pdepth + 1 + (n - nb.bit_count()) > best:
                     break
             else:
@@ -458,10 +470,24 @@ def _urm_search(
                 continue
             del seq[pdepth:]
             seq.append((idx, (fresh & -fresh).bit_length() - 1))
-            B, depth, cands = nb, pdepth + 1, pcands
+            B, UR, depth, cands = nb, pUR | row_vals[idx], pdepth + 1, pcands
+            if row_vals[idx]:
+                cands = [t for t in pcands if not row_vals[t[1]] & row_vals[idx]]
             break
         else:
             return best, best_seq, True
+
+
+def _pivot_classes(live, conflict: list[int]) -> list[tuple[int, int, int]]:
+    """One child per live row and set of columns that a pivot among its fresh
+    columns blocks (see ``_urm_search``), pivoting on the lowest of them."""
+    kids: dict[tuple[int, int], int] = {}
+    for mask, idx, fresh in live:
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            kids.setdefault((mask | conflict[bit.bit_length() - 1], idx), bit)
+    return [(block, idx, bit) for (block, idx), bit in kids.items()]
 
 
 def visibly_independent(

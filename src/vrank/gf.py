@@ -123,6 +123,28 @@ class MinrankResult:
 CLOCK_STRIDE = 256
 
 
+def free_stars(H: Stencil) -> list[tuple[int, int]]:
+    """The 1-based stars of H, in row-major order, that do not join two
+    components of the bipartite row/column star graph formed by the stars
+    before them; the others form its spanning forest."""
+    parent = list(range(H.m + H.n))  # rows 0..m-1, then columns
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    free = []
+    for i, j in H.stars():
+        a, b = find(i - 1), find(H.m + j - 1)
+        if a == b:
+            free.append((i, j))
+        else:
+            parent[a] = b
+    return free
+
+
 def minrank_bruteforce(
     H: Stencil, p: int, budget: int = 2_000_000, time_budget: float | None = None
 ) -> MinrankResult:
@@ -130,16 +152,14 @@ def minrank_bruteforce(
 
     Scaling a row or a column by a nonzero scalar keeps both the rank and the
     support, so every witness is equivalent to one that is 1 on a spanning
-    forest of the bipartite row/column star graph.  The forest takes, in
-    row-major order, each star that joins two components; only the other
-    ``stars - (m + n - components)`` stars run over 1..p-1, in row-major
-    odometer order.  The returned witness is the first one in that order that
-    attains the minimum, with the forest stars set to 1.  When the search is
-    exhaustive this is also the lexicographically least minimum-rank witness
-    (stars in row-major order): if C is the component of a forest star's
-    column in the graph of the stars before it, multiplying the columns of C
-    by c and the rows of C by 1/c sets that star to 1 and leaves every
-    earlier star as it was.
+    forest of the bipartite row/column star graph; only the ``free_stars``
+    run over 1..p-1, in row-major odometer order.  The returned witness is
+    the first one in that order that attains the minimum, with the forest
+    stars set to 1.  When the search is exhaustive this is also the
+    lexicographically least minimum-rank witness (stars in row-major order):
+    if C is the component of a forest star's column in the graph of the
+    stars before it, multiplying the columns of C by c and the rows of C by
+    1/c sets that star to 1 and leaves every earlier star as it was.
 
     The enumeration stops as soon as the best rank meets the floor
     max(1, vrk lower bound) (0 without stars), since vrk(H) <= rank(W) for
@@ -153,22 +173,9 @@ def minrank_bruteforce(
     deadline = None if time_budget is None else time.monotonic() + time_budget
     stars = H.stars()
     grid = [[0] * H.n for _ in range(H.m)]
-    parent = list(range(H.m + H.n))  # rows 0..m-1, then columns
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    free: list[tuple[list[int], int]] = []  # (grid row, column) of each free star
     for i, j in stars:
         grid[i - 1][j - 1] = 1
-        a, b = find(i - 1), find(H.m + j - 1)
-        if a == b:
-            free.append((grid[i - 1], j - 1))
-        else:
-            parent[a] = b
+    free = [(grid[i - 1], j - 1) for i, j in free_stars(H)]  # (grid row, column)
     floor_rank = 0
     if stars:
         floor = visible_rank_exact(H, node_budget=budget, time_budget=time_budget)

@@ -367,10 +367,11 @@ def to_json_doc(H: Stencil) -> dict:
 
 
 def stencil_from_json_doc(doc: dict) -> Stencil:
-    try:
-        m, n = int(doc["rows"]), int(doc["cols"])
-    except (KeyError, TypeError, ValueError):
-        raise MalformedHeaderError("JSON document missing rows/cols") from None
+    if not isinstance(doc, dict):
+        raise MalformedHeaderError("JSON stencil must be an object")
+    m, n = doc.get("rows"), doc.get("cols")
+    if not (is_json_int(m) and is_json_int(n) and m >= 0 and n >= 0):
+        raise MalformedHeaderError("JSON rows and cols must be nonnegative integers")
     for key, count in (("row_labels", m), ("col_labels", n)):
         labels = doc.get(key)
         if labels is not None and not (

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
+from . import engine
 from .engine import (
     DEFAULT_NODE_BUDGET,
     DiagonalCertificate,
@@ -177,64 +178,23 @@ def distinct_rank_exact(
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> DistinctRankResult:
-    """Maximum distinctly-full-rank sub-stencil of H^(xk), by branch-and-bound
-    with the disjointness constraints pruning the search."""
+    """Maximum distinctly-full-rank sub-stencil of H^(xk), by the engine's
+    search over triangular row sequences with each label's values as a
+    bitmask, so that the disjointness constraints prune the search."""
     Hk = tensor_power(H, k, max_entries=max_entries)
-    masks = list(Hk.rows)
-    row_vals = [frozenset(lab) for lab in Hk.row_labels]
-    col_vals = [frozenset(lab) for lab in Hk.col_labels]
-
-    best = 0
-    best_pairs: list[tuple[int, int]] = []
-    nodes = 0
-    aborted = False
-    seq: list[tuple[int, int]] = []
-
-    def dfs(B: int, urv: frozenset, ucv: frozenset, depth: int) -> None:
-        nonlocal best, best_pairs, nodes, aborted
-        if aborted:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            aborted = True
-            return
-        if depth > best:
-            best = depth
-            best_pairs = seq.copy()
-        cands = []
-        for r in range(len(masks)):
-            if row_vals[r] & urv:
-                continue
-            fresh = masks[r] & ~B
-            if not fresh:
-                continue
-            cols = []
-            rest = fresh
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                c = bit.bit_length() - 1
-                if not (col_vals[c] & ucv):
-                    cols.append(c)
-            if cols:
-                cands.append((r, cols))
-        free_cols = len({c for _, cols in cands for c in cols})
-        if depth + min(len(cands), free_cols) <= best:
-            return
-        for r, cols in cands:
-            for c in cols:
-                seq.append((r, c))
-                dfs(B | masks[r], urv | row_vals[r], ucv | col_vals[c], depth + 1)
-                seq.pop()
-                if aborted:
-                    return
-
-    dfs(0, frozenset(), frozenset(), 0)
-    best_pairs.reverse()
-    cert = triangular_certificate(
-        Hk, [r + 1 for r, _ in best_pairs], [c + 1 for _, c in best_pairs]
+    row_vals, col_vals = _value_masks(Hk.row_labels), _value_masks(Hk.col_labels)
+    value, pairs, completed = engine._urm_search(
+        list(Hk.rows), Hk.n, 0, node_budget, None, row_vals, col_vals
     )
-    return DistinctRankResult(k, best, cert, not aborted)
+    pairs = list(reversed(pairs or []))
+    cert = triangular_certificate(Hk, [r + 1 for r, _ in pairs], [c + 1 for _, c in pairs])
+    return DistinctRankResult(k, value, cert, completed)
+
+
+def _value_masks(labels) -> list[int]:
+    """Each label's set of values as a bitmask, one bit per distinct value."""
+    bit = {v: b for b, v in enumerate(sorted({v for lab in labels for v in lab}))}
+    return [sum(1 << bit[v] for v in set(lab)) for lab in labels]
 
 
 @dataclass(frozen=True)

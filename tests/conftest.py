@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's search code so they can
 serve as ground truth: visible rank is recomputed by enumerating every square
 sub-stencil and counting its star diagonals via the permanent, spanoid rank
 by enumerating subsets of the universe and closing each under the spanoid's
-inference rules, min-rank by ranking every GF(p) witness, and a certificate
-by materialising its permuted sub-stencil.
+inference rules, min-rank by ranking every GF(p) witness, distinct rank by a
+recursive branch-and-bound with no memo, and a certificate by materialising
+its permuted sub-stencil.
 """
 
 from itertools import combinations, permutations, product
@@ -13,10 +14,11 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from vrank.engine import DiagonalCertificate
+from vrank.engine import DEFAULT_NODE_BUDGET, DiagonalCertificate
 from vrank.gf import gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
 from vrank.stencil import Stencil, StencilError, permute, substencil
+from vrank.tensor import tensor_power
 
 #: Hard side limit of the star-diagonal counting oracle.
 PERMANENT_SIDE_LIMIT = 20
@@ -157,6 +159,67 @@ def brute_minrank(H: Stencil, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]
         if rank < best:
             best, best_grid = rank, tuple(map(tuple, grid))
     return best, best_grid
+
+
+def brute_distinct_rank(
+    H: Stencil, k: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[int, bool]:
+    """(value, exhaustive) of the largest triangular sub-stencil of H^(xk)
+    with pairwise-disjoint row and column value sets, by a recursive
+    branch-and-bound that checks the disjointness of every candidate row and
+    column against the value sets used so far, with no memo."""
+    Hk = tensor_power(H, k)
+    masks = list(Hk.rows)
+    row_vals = [frozenset(lab) for lab in Hk.row_labels]
+    col_vals = [frozenset(lab) for lab in Hk.col_labels]
+
+    best = 0
+    best_pairs: list[tuple[int, int]] = []
+    nodes = 0
+    aborted = False
+    seq: list[tuple[int, int]] = []
+
+    def dfs(B: int, urv: frozenset, ucv: frozenset, depth: int) -> None:
+        nonlocal best, best_pairs, nodes, aborted
+        if aborted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            aborted = True
+            return
+        if depth > best:
+            best = depth
+            best_pairs = seq.copy()
+        cands = []
+        for r in range(len(masks)):
+            if row_vals[r] & urv:
+                continue
+            fresh = masks[r] & ~B
+            if not fresh:
+                continue
+            cols = []
+            rest = fresh
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = bit.bit_length() - 1
+                if not (col_vals[c] & ucv):
+                    cols.append(c)
+            if cols:
+                cands.append((r, cols))
+        free_cols = len({c for _, cols in cands for c in cols})
+        if depth + min(len(cands), free_cols) <= best:
+            return
+        for r, cols in cands:
+            for c in cols:
+                seq.append((r, c))
+                dfs(B | masks[r], urv | row_vals[r], ucv | col_vals[c], depth + 1)
+                seq.pop()
+                if aborted:
+                    return
+
+    dfs(0, frozenset(), frozenset(), 0)
+    return best, not aborted
 
 
 @pytest.fixture

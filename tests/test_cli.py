@@ -8,7 +8,8 @@ import pytest
 
 from vrank import cli
 from vrank.cli import CSV_COLUMNS, ExperimentSpec, main, run_experiment
-from vrank.families import Family
+from vrank.families import Family, FamilyParams, generate
+from vrank.gf import free_stars, minrank_bruteforce
 
 
 @pytest.fixture
@@ -90,6 +91,17 @@ class TestVrank:
     def test_malformed_labels_exit_2(self, capsys, tmp_path, labels):
         p = tmp_path / "h.json"
         p.write_text(json.dumps({"rows": 2, "cols": 2, **labels}))
+        assert_input_error(capsys, "vrank", str(p))
+
+    @pytest.mark.parametrize(
+        "dims",
+        [{"rows": 2.7, "cols": 2}, {"rows": True, "cols": "3"}, {"rows": 2},
+         {"rows": -1, "cols": 2}],
+        ids=["float-rows", "bool-rows-string-cols", "missing-cols", "negative-rows"],
+    )
+    def test_malformed_dimensions_exit_2(self, capsys, tmp_path, dims):
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({**dims, "stars": []}))
         assert_input_error(capsys, "vrank", str(p))
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
@@ -308,14 +320,32 @@ class TestExperiment:
          {"family": "lrc", "n": 8, "param": [2]}, {"family": "lrc", "n": [], "param": [2]},
          {"family": "lrc", "n": [8], "param": [2], "field": "3"},
          {"family": "lrc", "n": [8], "param": [2], "delta": "x"},
-         {"family": "lrc", "n": [8], "param": [2], "csv": 5}],
+         {"family": "lrc", "n": [8], "param": [2], "csv": 5},
+         {"family": "lrc", "n": [8], "param": [2], "field": 4},
+         {"family": "lrc", "n": [8], "param": [2], "field": 65537},
+         {"family": "lrc", "n": [8], "param": [2], "budget_ms": -5}],
         ids=["empty-object", "not-an-object", "unknown-family", "n-not-a-list", "empty-sweep",
-             "non-integer-field", "non-number-delta", "non-string-csv"],
+             "non-integer-field", "non-number-delta", "non-string-csv", "non-prime-field",
+             "prime-field-over-limit", "negative-budget"],
     )
     def test_malformed_spec_exit_2(self, capsys, tmp_path, doc):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "experiment", "--spec", str(p))
+
+    @pytest.mark.parametrize("flags", [["--field", "4"], ["--budget-ms", "-5"]],
+                             ids=["non-prime-field", "negative-budget"])
+    def test_malformed_flags_exit_2(self, capsys, flags):
+        assert_input_error(capsys, "experiment", "--family", "lrc", "--n", "8", "--ell", "2",
+                           *flags)
+
+    def test_minrank_gate_counts_free_stars(self):
+        # 2^24 witnesses over GF(3), but only the 2^9 on free stars are walked.
+        (row,) = run_experiment(ExperimentSpec(Family.LRC, [8], [2], seed=0, field_p=3))
+        H = generate(FamilyParams(Family.LRC, 8, 2, seed=row["seed"]))
+        assert (H.star_count(), len(free_stars(H))) == (24, 9)
+        assert row["minrank_p"] == 3
+        assert row["minrank_val"] == minrank_bruteforce(H, 3).value
 
     def test_spec_file(self, capsys, tmp_path):
         p = tmp_path / "spec.json"

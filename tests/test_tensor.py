@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_stencil, rng_for
+from tests.conftest import brute_distinct_rank, random_stencil, rng_for
 import vrank.engine as engine
 import vrank.tensor as tensor
 from vrank.engine import (
@@ -13,8 +13,8 @@ from vrank.engine import (
     is_visibly_full_rank,
     visible_rank_exact,
 )
-from vrank.families import gen_drgp, gen_tensor_gap
-from vrank.stencil import PermutationPair, Stencil, StencilError, SubsetError
+from vrank.families import gen_drgp, gen_lrc, gen_tensor_gap
+from vrank.stencil import PermutationPair, Stencil, StencilError, SubsetError, substencil
 from vrank.tensor import (
     TensorSizeError,
     capacity_lower_bound,
@@ -212,6 +212,32 @@ class TestDistinctRank:
         H = random_stencil(rng_for(seed), 3, 3)
         P = tensor_power(H, 2)
         assert distinct_rank_exact(H, 2).value <= visible_rank_exact(P).lower_bound
+
+    def test_matches_recursive_oracle(self):
+        # Two-value row labels over {1, ..., 4} overlap; each column label is
+        # either plain (a value of its own) or a pair over {1, 2, 3}.
+        rng = rng_for(20261018)
+        row_pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+        col_pairs = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        for _ in range(200):
+            m, n = (int(x) for x in rng.integers(2, 5, size=2))
+            H = random_stencil(rng, m, n)
+            row_labels = [row_pairs[i] for i in rng.permutation(len(row_pairs))[:m]]
+            shared = iter(col_pairs[i] for i in rng.permutation(len(col_pairs)))
+            col_labels = [
+                next(shared) if rng.random() < 0.5 else (10 + j, 10 + j) for j in range(n)
+            ]
+            H = Stencil.from_rows(H.rows, n, row_labels, col_labels)
+            res = distinct_rank_exact(H, 2)
+            assert (res.value, res.exhaustive) == brute_distinct_rank(H, 2)
+            P = tensor_power(H, 2)
+            cert = res.certificate
+            assert cert.size == res.value and cert.verify(P)
+            assert is_distinctly_full_rank(substencil(P, cert.row_subset, cert.col_subset))
+
+    def test_lrc_square_within_node_budget(self):
+        res = distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=100_000)
+        assert res.exhaustive and res.value == 5
 
 
 class TestCapacity:
