@@ -420,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget_ms", None) is not None and args.budget_ms < 0:
+            raise stencil.StencilError("--budget-ms must be >= 0")
         return args.func(args)
     except (stencil.StencilError, gf.FieldError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

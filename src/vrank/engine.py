@@ -26,8 +26,6 @@ from .stencil import (
 )
 
 DEFAULT_NODE_BUDGET = 5_000_000
-#: Exact completion is guaranteed (budget permitting) up to this many columns.
-EXACT_SIDE_GUARANTEE = 24
 
 PROV_EXACT = "exact-search"
 PROV_MATCHING = "matching"

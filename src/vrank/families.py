@@ -36,7 +36,8 @@ class FamilyParamError(StencilError):
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters of one family instance; ``param`` is ell, q, or t."""
+    """Parameters of one family instance; ``param`` is ell, q, or t.  An LCC
+    without ``delta`` gets ``DEFAULT_DELTA``."""
 
     family: Family
     n: int
@@ -52,12 +53,13 @@ class FamilyParams:
                 raise FamilyParamError(f"ell={self.param} out of range for n={self.n}")
         elif self.family is Family.LCC:
             q = self.param
-            delta = self.delta if self.delta is not None else DEFAULT_DELTA
+            if self.delta is None:
+                object.__setattr__(self, "delta", DEFAULT_DELTA)
             if q < 3:
                 raise FamilyParamError("LCC requires q >= 3")
-            if not 0 < delta < 1:
+            if not 0 < self.delta < 1:
                 raise FamilyParamError("delta must lie in (0, 1)")
-            t = math.floor(delta * self.n)
+            t = self.groups_per_column
             if t < 1:
                 raise FamilyParamError(f"floor(delta*n) = {t} < 1")
             if q * t > self.n - 1:
@@ -73,8 +75,7 @@ class FamilyParams:
     @property
     def groups_per_column(self) -> int:
         if self.family is Family.LCC:
-            delta = self.delta if self.delta is not None else DEFAULT_DELTA
-            return math.floor(delta * self.n)
+            return math.floor(self.delta * self.n)
         if self.family in (Family.DRGP, Family.TENSOR_GAP):
             return self.param
         return 1
@@ -126,23 +127,30 @@ def gen_lcc(n: int, q: int, delta: float, seed: int) -> Stencil:
     return Stencil.from_rows(masks, n, row_labels=_group_labels(n, t))
 
 
+def _gen_grouped(family: Family, n: int, t: int, seed: int) -> Stencil:
+    """Rows (i, s) over [n] x [t]; every row of group i stars column i, and
+    each other column j draws one uniform slot s_j of the group: DRGP stars
+    ((i, s_j), j) only, tensor-gap zeros it and stars the other rows.
+
+    One substream per row group i; within it, the slots for columns 1..n are
+    a single vectorized draw (the slot at j = i is discarded).
+    """
+    FamilyParams(family, n, t, seed=seed)
+    slots = np.array([_rng(seed, family, i + 1).integers(t, size=n) for i in range(n)])
+    diag = np.eye(n, dtype=bool)
+    masks = [0] * (n * t)
+    for s in range(t):
+        stars = (slots == s) if family is Family.DRGP else (slots != s)
+        packed = np.packbits(stars | diag, axis=1, bitorder="little")
+        for i, row in enumerate(packed):
+            masks[i * t + s] = int.from_bytes(row.tobytes(), "little")
+    return Stencil.from_rows(masks, n, row_labels=_group_labels(n, t))
+
+
 def gen_drgp(n: int, t: int, seed: int) -> Stencil:
     """t-DRGP stencil: rows (i, s), stars at (i,s),i; for each i != j exactly
-    one uniformly chosen row of group i carries a star in column j.
-
-    One substream per row group i; within it, the star slots for columns
-    1..n are a single vectorized draw (the slot at j = i is discarded).
-    """
-    FamilyParams(Family.DRGP, n, t, seed=seed)
-    masks = [0] * (n * t)
-    for i in range(n):
-        slots = _rng(seed, Family.DRGP, i + 1).integers(t, size=n)
-        for s in range(t):
-            masks[i * t + s] |= 1 << i
-        for j in range(n):
-            if j != i:
-                masks[i * t + int(slots[j])] |= 1 << j
-    return Stencil.from_rows(masks, n, row_labels=_group_labels(n, t))
+    one uniformly chosen row of group i carries a star in column j."""
+    return _gen_grouped(Family.DRGP, n, t, seed)
 
 
 def gen_tensor_gap(n: int, t: int, seed: int) -> Stencil:
@@ -152,30 +160,16 @@ def gen_tensor_gap(n: int, t: int, seed: int) -> Stencil:
     At t = 2 one-zero-of-two coincides with one-star-of-two, so this delegates
     to the DRGP sampler and the two families are pointwise identical.
     """
-    FamilyParams(Family.TENSOR_GAP, n, t, seed=seed)
     if t == 2:
         return gen_drgp(n, 2, seed)
-    masks = [0] * (n * t)
-    for i in range(n):
-        slots = _rng(seed, Family.TENSOR_GAP, i + 1).integers(t, size=n)
-        for s in range(t):
-            masks[i * t + s] |= 1 << i
-        for j in range(n):
-            if j == i:
-                continue
-            s_zero = int(slots[j])
-            for s in range(t):
-                if s != s_zero:
-                    masks[i * t + s] |= 1 << j
-    return Stencil.from_rows(masks, n, row_labels=_group_labels(n, t))
+    return _gen_grouped(Family.TENSOR_GAP, n, t, seed)
 
 
 def generate(params: FamilyParams) -> Stencil:
     if params.family is Family.LRC:
         return gen_lrc(params.n, params.param, params.seed)
     if params.family is Family.LCC:
-        delta = params.delta if params.delta is not None else DEFAULT_DELTA
-        return gen_lcc(params.n, params.param, delta, params.seed)
+        return gen_lcc(params.n, params.param, params.delta, params.seed)
     if params.family is Family.DRGP:
         return gen_drgp(params.n, params.param, params.seed)
     return gen_tensor_gap(params.n, params.param, params.seed)
@@ -196,12 +190,21 @@ class ValidationReport:
         return f"violated clause {self.clause!r} at {self.where}"
 
 
-def _check_group_labels(H: Stencil, n: int, t: int) -> ValidationReport | None:
-    if H.n != n:
-        return ValidationReport(False, "column count", (H.n,))
-    if H.m != n * t or set(H.row_labels) != set(_group_labels(n, t)):
-        return ValidationReport(False, "rows labeled by [n] x [t]", (H.m,))
-    return None
+def row_groups(H: Stencil) -> list[list[int]] | None:
+    """Row masks of H in the (i, s) layout of the row-grouped families:
+    ``groups[i-1][s-1]`` is the row labeled (i, s).  None unless the row
+    labels are exactly [n] x [t] for some t >= 1, with n, m > 0."""
+    n = H.n
+    if n == 0 or H.m == 0 or H.m % n or H.row_arity != 2:
+        return None
+    t = H.m // n
+    groups = [[0] * t for _ in range(n)]
+    # Labels are distinct, so n * t labels inside [n] x [t] cover it.
+    for (i, s), mask in zip(H.row_labels, H.rows):
+        if not (1 <= i <= n and 1 <= s <= t):
+            return None
+        groups[i - 1][s - 1] = mask
+    return groups
 
 
 def validate_family(H: Stencil, params: FamilyParams) -> ValidationReport:
@@ -221,35 +224,30 @@ def validate_family(H: Stencil, params: FamilyParams) -> ValidationReport:
         return ValidationReport(True)
 
     t = params.groups_per_column
-    bad = _check_group_labels(H, n, t)
-    if bad is not None:
-        return bad
-    pos = {lab: idx for idx, lab in enumerate(H.row_labels)}
-    group_rows = {i: [H.rows[pos[(i, s)]] for s in range(1, t + 1)] for i in range(1, n + 1)}
+    if H.n != n:
+        return ValidationReport(False, "column count", (H.n,))
+    groups = row_groups(H)
+    if groups is None or len(groups[0]) != t:
+        return ValidationReport(False, "rows labeled by [n] x [t]", (H.m,))
 
-    for i in range(1, n + 1):
-        for s in range(1, t + 1):
-            if not group_rows[i][s - 1] >> (i - 1) & 1:
+    for i, group in enumerate(groups, start=1):
+        for s, row in enumerate(group, start=1):
+            if not row >> (i - 1) & 1:
                 return ValidationReport(False, "star at ((i,s), i)", ((i, s), i))
 
-    if fam is Family.TENSOR_GAP:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                stars = sum(r >> (j - 1) & 1 for r in group_rows[i])
-                if stars != t - 1:
-                    return ValidationReport(False, "exactly one zero in S_{i,j}", (i, j))
-        return ValidationReport(True)
-
-    # LCC and DRGP share the disjoint-groups clause.
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            stars = sum(r >> (j - 1) & 1 for r in group_rows[i])
-            if stars > 1:
-                return ValidationReport(False, "at most one star in S_{i,j}", (i, j))
+    # A column j != i of group i is bad when two of its sets hold it (stars
+    # for DRGP and LCC, zeros for tensor-gap) or, for tensor-gap, none does.
+    tensor_gap = fam is Family.TENSOR_GAP
+    full = (1 << n) - 1
+    for i, group in enumerate(groups, start=1):
+        seen = twice = 0
+        for cols in ([full & ~row for row in group] if tensor_gap else group):
+            twice |= seen & cols
+            seen |= cols
+        bad = (twice | full & ~seen if tensor_gap else twice) & ~(1 << (i - 1))
+        if bad:
+            clause = "exactly one zero in S_{i,j}" if tensor_gap else "at most one star in S_{i,j}"
+            return ValidationReport(False, clause, (i, (bad & -bad).bit_length()))
 
     if fam is Family.LCC:
         q = params.param

@@ -11,7 +11,9 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import and_
 
 from . import engine
 from .engine import (
@@ -22,6 +24,7 @@ from .engine import (
     triangular_certificate,
     visible_rank_exact,
 )
+from .families import row_groups
 from .gf import gf_rank, is_prime, low_rank_witness, validate_witness
 from .stencil import Stencil, StencilError
 
@@ -74,48 +77,25 @@ def tensor_power(H: Stencil, k: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
     return out
 
 
-def _row_group_shape(H: Stencil) -> int | None:
-    """If row labels are exactly [n] x [t] pairs (i, s), return t, else None."""
-    if H.m == 0 or H.row_arity != 2:
-        return None
-    if H.m % H.n != 0:
-        return None
-    t = H.m // H.n
-    expected = {(i, s) for i in range(1, H.n + 1) for s in range(1, t + 1)}
-    return t if set(H.row_labels) == expected else None
-
-
 def diagonal_tensor_certificate(H: Stencil, t: int) -> tuple[Stencil, bool]:
     """Evaluate, without materializing H^(xt), its n x n sub-stencil with rows
     ((i,1),...,(i,t)) and columns (i,...,i).
 
     A True flag means the sub-stencil is the identity pattern, which certifies
-    vrk(H^(xt)) >= n.  Requires rows labeled (i, s) over [n] x [t].
+    vrk(H^(xt)) >= n.  Requires rows labeled (i, s) over [n] x [t'], t' >= t.
     """
     if t < 1:
         raise StencilError("tensor power requires t >= 1")
-    shape_t = _row_group_shape(H)
-    if shape_t is None or shape_t < t:
+    groups = row_groups(H)
+    if groups is None or len(groups[0]) < t:
         raise StencilError(
             "diagonal tensor certificate needs rows labeled (i, s) over [n] x [t]"
         )
-    n = H.n
-    pos = {lab: idx for idx, lab in enumerate(H.row_labels)}
-    masks = []
-    for i in range(1, n + 1):
-        mask = (1 << n) - 1
-        for s in range(1, t + 1):
-            mask &= H.rows[pos[(i, s)]]
-        masks.append(mask)
-    identity = all(masks[i] == 1 << i for i in range(n))
-    rl = []
-    for i in range(1, n + 1):
-        lab: tuple[int, ...] = ()
-        for s in range(1, t + 1):
-            lab += (i, s)
-        rl.append(lab)
-    cl = tuple(H.col_labels[i] * t for i in range(n))
-    return Stencil(n, n, tuple(masks), tuple(rl), cl), identity
+    masks = tuple(reduce(and_, group[:t]) for group in groups)
+    identity = all(mask == 1 << i for i, mask in enumerate(masks))
+    rl = tuple(tuple(x for s in range(1, t + 1) for x in (i, s)) for i in range(1, H.n + 1))
+    cl = tuple(lab * t for lab in H.col_labels)
+    return Stencil(H.n, H.n, masks, rl, cl), identity
 
 
 def tensor_certificate(
@@ -186,8 +166,7 @@ def distinct_rank_exact(
     value, pairs, completed = engine._urm_search(
         list(Hk.rows), Hk.n, 0, node_budget, None, row_vals, col_vals
     )
-    pairs = list(reversed(pairs or []))
-    cert = triangular_certificate(Hk, [r + 1 for r, _ in pairs], [c + 1 for _, c in pairs])
+    cert = engine._certificate_from_sequence(Hk, pairs or [])
     return DistinctRankResult(k, value, cert, completed)
 
 
@@ -305,11 +284,11 @@ def capacity_lower_bound(
     for k, res in enumerate(searches, start=1):
         lower[k], upper[k] = res.lower_bound, res.upper_bound
     cap = w if w is not None else min(H.m, H.n)
-    shape_t = _row_group_shape(H)
+    groups = row_groups(H)
     for k in range(2, k_max + 1):
         if k not in lower:
             lower[k], upper[k] = lower[1] ** k, cap**k
-        if shape_t == k:
+        if groups is not None and len(groups[0]) == k:
             _, identity = diagonal_tensor_certificate(H, k)
             if identity:
                 lower[k] = max(lower[k], H.n)

@@ -5,8 +5,10 @@ serve as ground truth: visible rank is recomputed by enumerating every square
 sub-stencil and counting its star diagonals via the permanent, spanoid rank
 by enumerating subsets of the universe and closing each under the spanoid's
 inference rules, min-rank by ranking every GF(p) witness, distinct rank by a
-recursive branch-and-bound with no memo, and a certificate by materialising
-its permuted sub-stencil.
+recursive branch-and-bound with no memo, a certificate by materialising
+its permuted sub-stencil, and the row-grouped families (DRGP and tensor-gap
+sampling, and the clauses of their validator) by nested loops over every
+(i, j) pair.
 """
 
 from itertools import combinations, permutations, product
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from vrank.engine import DEFAULT_NODE_BUDGET, DiagonalCertificate
+from vrank.families import Family, FamilyParams, ValidationReport, _rng
 from vrank.gf import gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
 from vrank.stencil import Stencil, StencilError, permute, substencil
@@ -220,6 +223,59 @@ def brute_distinct_rank(
 
     dfs(0, frozenset(), frozenset(), 0)
     return best, not aborted
+
+
+def loop_gen_grouped(family: Family, n: int, t: int, seed: int) -> Stencil:
+    """DRGP or tensor-gap stencil built one entry at a time from the same
+    per-group substreams as the generators: DRGP puts the one off-diagonal
+    star of column j of group i in the drawn slot, tensor-gap the one zero."""
+    masks = [0] * (n * t)
+    for i in range(n):
+        slots = _rng(seed, family, i + 1).integers(t, size=n)
+        for s in range(t):
+            masks[i * t + s] |= 1 << i
+        for j in range(n):
+            if j == i:
+                continue
+            for s in range(t):
+                if (s == slots[j]) == (family is Family.DRGP):
+                    masks[i * t + s] |= 1 << j
+    labels = [(i, s) for i in range(1, n + 1) for s in range(1, t + 1)]
+    return Stencil.from_rows(masks, n, row_labels=labels)
+
+
+def brute_validate_grouped(H: Stencil, params: FamilyParams) -> ValidationReport:
+    """``validate_family`` for DRGP, tensor-gap and LCC, clause by clause over
+    every row (i, s) and every pair (i, j), with the rows looked up by label."""
+    fam, n, t = params.family, params.n, params.groups_per_column
+    if H.n != n:
+        return ValidationReport(False, "column count", (H.n,))
+    labels = {(i, s) for i in range(1, n + 1) for s in range(1, t + 1)}
+    if H.m != n * t or set(H.row_labels) != labels:
+        return ValidationReport(False, "rows labeled by [n] x [t]", (H.m,))
+    pos = {lab: idx for idx, lab in enumerate(H.row_labels)}
+    group_rows = {i: [H.rows[pos[(i, s)]] for s in range(1, t + 1)] for i in range(1, n + 1)}
+
+    for i in range(1, n + 1):
+        for s in range(1, t + 1):
+            if not group_rows[i][s - 1] >> (i - 1) & 1:
+                return ValidationReport(False, "star at ((i,s), i)", ((i, s), i))
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if j == i:
+                continue
+            stars = sum(r >> (j - 1) & 1 for r in group_rows[i])
+            if fam is Family.TENSOR_GAP and stars != t - 1:
+                return ValidationReport(False, "exactly one zero in S_{i,j}", (i, j))
+            if fam is not Family.TENSOR_GAP and stars > 1:
+                return ValidationReport(False, "at most one star in S_{i,j}", (i, j))
+
+    if fam is Family.LCC:
+        for idx, mask in enumerate(H.rows):
+            if mask.bit_count() > params.param + 1:
+                return ValidationReport(False, "at most q+1 stars per row", (H.row_labels[idx],))
+    return ValidationReport(True)
 
 
 @pytest.fixture

@@ -19,6 +19,14 @@ def d3_path(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def zero_column_path(tmp_path):
+    """A 1 x 0 stencil whose one row carries an arity-2 label."""
+    p = tmp_path / "zero-cols.json"
+    p.write_text(json.dumps({"rows": 1, "cols": 0, "row_labels": [[1, 1]]}))
+    return str(p)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -143,6 +151,9 @@ class TestCertify:
         assert code == 2 and cap.out == ""
         assert "requires t >= 1" in cap.err
 
+    def test_zero_columns_exit_2(self, capsys, zero_column_path):
+        assert_input_error(capsys, "certify", zero_column_path, "--power", "2")
+
 
 class TestTensor:
     def test_power_zero_exit_2(self, capsys, d3_path):
@@ -150,6 +161,14 @@ class TestTensor:
         cap = capsys.readouterr()
         assert code == 2 and cap.out == ""
         assert "requires k_max >= 1" in cap.err
+
+    def test_zero_columns(self, capsys, zero_column_path):
+        code, out = run(capsys, "tensor", zero_column_path, "--power", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "per_level": {str(k): {"lower": 0, "upper": 0, "exact": True} for k in (1, 2)},
+            "best": 0.0,
+        }
 
     def test_levels_carry_upper(self, capsys, d3_path):
         # D3: vrk 2, and its GF(3) witness has rank 2.
@@ -333,11 +352,18 @@ class TestExperiment:
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "experiment", "--spec", str(p))
 
-    @pytest.mark.parametrize("flags", [["--field", "4"], ["--budget-ms", "-5"]],
-                             ids=["non-prime-field", "negative-budget"])
-    def test_malformed_flags_exit_2(self, capsys, flags):
-        assert_input_error(capsys, "experiment", "--family", "lrc", "--n", "8", "--ell", "2",
-                           *flags)
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiment", "--family", "lrc", "--n", "8", "--ell", "2", "--field", "4"],
+         ["experiment", "--family", "lrc", "--n", "8", "--ell", "2", "--budget-ms", "-5"],
+         ["vrank", "STENCIL", "--budget-ms", "-5"],
+         ["tensor", "STENCIL", "--power", "2", "--budget-ms", "-5"],
+         ["minrank", "STENCIL", "--field", "3", "--budget-ms", "-5"]],
+        ids=["non-prime-field", "negative-budget", "negative-budget-vrank",
+             "negative-budget-tensor", "negative-budget-minrank"],
+    )
+    def test_malformed_flags_exit_2(self, capsys, d3_path, argv):
+        assert_input_error(capsys, *[d3_path if a == "STENCIL" else a for a in argv])
 
     def test_minrank_gate_counts_free_stars(self):
         # 2^24 witnesses over GF(3), but only the 2^9 on free stars are walked.

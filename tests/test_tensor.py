@@ -181,6 +181,14 @@ class TestDiagonalCertificate:
         assert not ident
         assert sub.star(1, j + 1)
 
+    def test_stored_row_order_does_not_matter(self):
+        H = gen_tensor_gap(6, 3, 1)
+        order = [5, 0, 17, 3, 9, 1, 12, 2, 8, 4, 16, 6, 11, 7, 15, 10, 14, 13]
+        P = Stencil.from_rows([H.rows[k] for k in order], H.n,
+                              row_labels=[H.row_labels[k] for k in order])
+        for t in (1, 2, 3):
+            assert diagonal_tensor_certificate(P, t) == diagonal_tensor_certificate(H, t)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(StencilError):
             diagonal_tensor_certificate(D3, 2)
