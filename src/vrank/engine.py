@@ -355,36 +355,105 @@ def _check_upper(best: int, upper: int | None) -> None:
         raise StencilError(f"a certificate of size {best} exceeds the known upper bound {upper}")
 
 
-def _may_extend(live: list[tuple[int, int, int]], need: int) -> bool:
+#: ``_may_extend`` looks for chains of ``_LONG_CHAIN`` rows at nodes of depth
+#: at most ``_LONG_CHAIN_DEPTH`` once the search has spent
+#: ``_LONG_CHAIN_AFTER`` nodes, and of ``_SHORT_CHAIN`` rows elsewhere.  Only
+#: a search that large has subtrees below its shallow nodes big enough, tens
+#: of child evaluations each, to repay a long chain; in a smaller one it
+#: costs more than it cuts.
+_LONG_CHAIN = 6
+_LONG_CHAIN_DEPTH = 2
+_LONG_CHAIN_AFTER = 1000
+_SHORT_CHAIN = 2
+#: Candidate overlaps one chain check may compute before it gives up and
+#: answers "may extend".
+_CHAIN_WORK = 300_000
+
+
+def _may_extend(
+    live: list[tuple[int, int, int, int]],
+    union: int,
+    need: int,
+    a: int,
+    deadline: float | None,
+) -> bool:
     """False when no triangular sequence continuing the node adds ``need`` rows.
 
-    ``live`` holds (mask, index, fresh columns) of the rows that still add a
-    column.  The pivots of an extension are distinct columns of U, the union
-    of the fresh columns, so it needs ``need`` live rows and |U| >= need.
-    Its first two rows a and b have no star on any later pivot: the need - 1
-    pivots after a's lie in U \\ a, and the need - 2 after b's in
-    U \\ (a | b).  This zero-rectangle bound on the residual stencil is
-    checked for need >= 3.
+    ``live`` holds (c, index, mask, fresh) of the rows that still add a
+    column, c being the number of their fresh columns, and ``union`` is U,
+    the union of the fresh columns.  The pivots of an extension are distinct
+    columns of U, so it needs ``need`` live rows and |U| >= need.  Its first
+    s rows have no star on the need - s later pivots, so their zero sets in
+    U share at least need - s columns: a zero-rectangle bound on the
+    residual stencil, checked by ``_chain_exists`` for every s <= a when
+    need >= 3.  Inside U a row's zero set is U & ~fresh, of size |U| - c,
+    because mask & U == fresh.
     """
-    if len(live) < need:
-        return False
-    union = 0
-    for _, _, fresh in live:
-        union |= fresh
-    if union.bit_count() < need:
+    size = union.bit_count()
+    if len(live) < need or size < need:
         return False
     if need < 3:
         return True
-    zeros = sorted((union & ~mask for mask, _, _ in live), key=int.bit_count, reverse=True)
-    for i, za in enumerate(zeros):
-        if za.bit_count() < need - 1:
-            return False
-        for zb in zeros[i + 1 :]:
-            if zb.bit_count() < need - 2:
-                break
-            if (za & zb).bit_count() >= need - 2:
+    a = min(a, need)
+    links = [(size - c, idx, union & ~fresh) for c, idx, _, fresh in live if size - c >= need - a]
+    return _chain_exists(links, need, a, deadline)
+
+
+def _chain_exists(
+    links: list[tuple[int, int, int]], need: int, a: int, deadline: float | None = None
+) -> bool:
+    """True when some a distinct zero sets z_1..z_a of ``links``, a list of
+    (|z|, key, z) with distinct keys, have |z_1 & ... & z_s| >= need - s for
+    every s <= a.
+
+    A chain of length a starts with one of every shorter length, and a short
+    search costs far less, so lengths 3, 4, ..., a are sought in turn (a = 2
+    directly).  Each search is depth-first over ordered chains and carries every
+    candidate's overlap with the running intersection I.  A candidate that
+    cannot be the next link may still be a later one, whose threshold is
+    lower, so only candidates with |I & z| < need - b are dropped, b being
+    the length sought.  Whether a chain continues depends only on the set of
+    its links, so failed sets are memoised.  After ``_CHAIN_WORK`` candidate
+    overlaps in all, or past ``deadline``, the answer is True, which is
+    sound for a prune.
+    """
+    if a <= 1:
+        return a <= 0 or any(size >= need - 1 for size, _, _ in links)
+    budget = _CHAIN_WORK
+
+    def extend(chosen: int, inter: int, s: int, cands: list[tuple[int, int, int]]) -> bool:
+        # Try each candidate for link s + 1; when that is the last link but
+        # one, any candidate left for the last link will do.
+        nonlocal budget
+        for overlap, key, z in cands:
+            if overlap < need - s - 1:
+                continue
+            members = chosen | 1 << key
+            if members in failed:
+                continue
+            budget -= len(cands)
+            if budget < 0 or (deadline is not None and time.monotonic() > deadline):
                 return True
-    return False
+            meet = inter & z
+            if s + 2 == b:
+                if any(k != key and (meet & w).bit_count() >= need - b for _, k, w in cands):
+                    return True
+            else:
+                nxt = [
+                    (o, k, w)
+                    for _, k, w in cands
+                    if k != key and (o := (meet & w).bit_count()) >= need - b
+                ]
+                if len(nxt) >= b - s - 1 and extend(members, meet, s + 1, nxt):
+                    return True
+            failed.add(members)
+        return False
+
+    for b in range(min(a, 3), a + 1):
+        failed: set[int] = set()
+        if not extend(0, -1, 0, links):
+            return False
+    return True
 
 
 def _urm_search(
@@ -399,7 +468,16 @@ def _urm_search(
     """Core search.  Returns (best, improving sequence or None, completed).
 
     Depth-first over an explicit stack, so a deep sequence cannot hit the
-    interpreter's recursion limit; the deadline is read at every node.
+    interpreter's recursion limit; the deadline is read at every node and
+    inside ``_may_extend``.
+
+    A node makes one pass over its candidate rows, building each live row's
+    fresh columns, their count c and the union U of them, which is all the
+    ``_may_extend`` prune reads (chains of length ``_LONG_CHAIN`` at shallow
+    nodes of a large search, ``_SHORT_CHAIN`` elsewhere).  A node the prune
+    keeps picks a forced move in its own candidate order, and passes that
+    order on; otherwise one sort by (c, index) orders its children and their
+    candidates.
 
     The value bitmasks ``row_vals`` and ``col_vals`` (all zero by default)
     keep the rows, and the pivot columns, pairwise disjoint in value, as
@@ -430,9 +508,12 @@ def _urm_search(
     nodes = 0
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
     # Frames of the nodes being expanded: (B, UR, depth, candidates for the
-    # children, iterator over the children not yet tried).  A child is
-    # (columns it blocks, row, columns whose lowest is its pivot).
-    stack: list[tuple[int, int, int, list[tuple[int, int]], Iterator[tuple[int, int, int]]]] = []
+    # children, iterator over the children not yet tried).  A candidate is
+    # (mask, index); a child is (c, row, columns it blocks, columns whose
+    # lowest is its pivot).
+    stack: list[
+        tuple[int, int, int, list[tuple[int, int]], Iterator[tuple[int, int, int, int]]]
+    ] = []
     B, UR, depth, cands = 0, 0, 0, rows
     while True:
         nodes += 1
@@ -444,22 +525,31 @@ def _urm_search(
         prev = visited.get(B | UR)
         if prev is None or prev < depth:
             visited[B | UR] = depth
-            live = [(mask, idx, mask & ~B) for mask, idx in cands if mask & ~B]
-            if live and _may_extend(live, best - depth + 1):
+            live = []
+            union = 0
+            free = ~B
+            for mask, idx in cands:
+                fresh = mask & free
+                if fresh:
+                    live.append((fresh.bit_count(), idx, mask, fresh))
+                    union |= fresh
+            long = depth <= _LONG_CHAIN_DEPTH and nodes > _LONG_CHAIN_AFTER
+            a = _LONG_CHAIN if long else _SHORT_CHAIN
+            if live and _may_extend(live, union, best - depth + 1, a, deadline):
                 # Forced move: a row adding one fresh column can be taken
                 # first without loss when neither of them has values.
-                forced = next((t for t in live if t[2].bit_count() == 1
-                               and not row_vals[t[1]] | conflict[t[2].bit_length() - 1]), None)
+                forced = next((t for t in live if t[0] == 1
+                               and not row_vals[t[1]] | conflict[t[3].bit_length() - 1]), None)
                 if forced is None:
-                    live.sort(key=lambda t: (t[2].bit_count(), t[1]))
-                    kids = _pivot_classes(live, conflict) if classes else live
+                    order = sorted(live)
+                    kids = _pivot_classes(order, conflict) if classes else order
                 else:
-                    kids = [forced]
-                stack.append((B, UR, depth, [(mk, ix) for mk, ix, _ in live], iter(kids)))
+                    kids, order = [forced], live
+                stack.append((B, UR, depth, [(mk, ix) for _, ix, mk, _ in order], iter(kids)))
         # Move to the next child of the deepest frame that has one left.
         while stack:
             pB, pUR, pdepth, pcands, kids = stack[-1]
-            for block, idx, fresh in kids:
+            for _, idx, block, fresh in kids:
                 nb = pB | block
                 if pdepth + 1 + (n - nb.bit_count()) > best:
                     break
@@ -476,16 +566,16 @@ def _urm_search(
             return best, best_seq, True
 
 
-def _pivot_classes(live, conflict: list[int]) -> list[tuple[int, int, int]]:
+def _pivot_classes(live, conflict: list[int]) -> list[tuple[int, int, int, int]]:
     """One child per live row and set of columns that a pivot among its fresh
     columns blocks (see ``_urm_search``), pivoting on the lowest of them."""
     kids: dict[tuple[int, int], int] = {}
-    for mask, idx, fresh in live:
+    for _, idx, mask, fresh in live:
         while fresh:
             bit = fresh & -fresh
             fresh ^= bit
             kids.setdefault((mask | conflict[bit.bit_length() - 1], idx), bit)
-    return [(block, idx, bit) for (block, idx), bit in kids.items()]
+    return [(1, idx, block, bit) for (block, idx), bit in kids.items()]
 
 
 def visibly_independent(

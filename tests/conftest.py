@@ -6,7 +6,8 @@ sub-stencil and counting its star diagonals via the permanent, spanoid rank
 by enumerating subsets of the universe and closing each under the spanoid's
 inference rules, min-rank by ranking every GF(p) witness, distinct rank by a
 recursive branch-and-bound with no memo, a certificate by materialising
-its permuted sub-stencil, and the row-grouped families (DRGP and tensor-gap
+its permuted sub-stencil, the search's zero-set chain check by trying every
+ordered subset, and the row-grouped families (DRGP and tensor-gap
 sampling, and the clauses of their validator) by nested loops over every
 (i, j) pair.
 """
@@ -223,6 +224,21 @@ def brute_distinct_rank(
 
     dfs(0, frozenset(), frozenset(), 0)
     return best, not aborted
+
+
+def brute_chain(zeros: list[int], need: int, a: int) -> bool:
+    """True when some ordered a distinct members z_1..z_a of ``zeros`` have
+    |z_1 & ... & z_s| >= need - s for every s <= a, by trying every ordered
+    a-subset."""
+    for chain in permutations(zeros, a):
+        inter = -1
+        for s, z in enumerate(chain, 1):
+            inter &= z
+            if inter.bit_count() < need - s:
+                break
+        else:
+            return True
+    return False
 
 
 def loop_gen_grouped(family: Family, n: int, t: int, seed: int) -> Stencil:

@@ -1,5 +1,7 @@
 """Visible rank engine: peeling, triangularization, exact search, bounds."""
 
+import hashlib
+import json
 import sys
 import time
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import vrank.engine as engine
 from tests.conftest import (
+    brute_chain,
     brute_vrank,
     count_star_diagonals,
     random_stencil,
@@ -20,6 +23,7 @@ from vrank.engine import (
     PROV_WITNESS,
     PROV_ZERO_RECT,
     DiagonalCertificate,
+    _chain_exists,
     greedy_lower_bound,
     is_visibly_full_rank,
     triangular_certificate,
@@ -29,8 +33,13 @@ from vrank.engine import (
     visibly_independent,
     zero_rectangle_bound,
 )
-from vrank.families import gen_drgp, gen_lcc
-from vrank.tensor import tensor_certificate, tensor_product
+from vrank.families import gen_drgp, gen_lcc, gen_lrc, gen_tensor_gap
+from vrank.tensor import (
+    capacity_lower_bound,
+    distinct_rank_exact,
+    tensor_certificate,
+    tensor_product,
+)
 from vrank.gf import gf_rank, low_rank_witness, validate_witness
 from vrank.stencil import (
     PermutationPair,
@@ -409,3 +418,142 @@ class TestSerialization:
         res = visible_rank_exact(D3)
         back = DiagonalCertificate.from_json(res.certificate.to_json())
         assert back == res.certificate and back.verify(D3)
+
+
+def json_digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+#: sha256 of ``visible_rank_exact(H).to_json()`` (keys sorted), recorded
+#: before the chain check replaced the pair prune: a sound prune that keeps
+#: the child order leaves every value, flag and certificate as it was.
+GOLDEN_RESULTS = [
+    (gen_drgp, (64, 2, 0),
+     "c2a47239ed158a6faa35f050b89e5ee90f2bf38c55a1d080053b4bc9a9718694"),
+    (gen_drgp, (64, 2, 1),
+     "401a0dabb6743c76815086ba3d5e48bdddb516757705dcb0716d2e013c655a3a"),
+    (gen_drgp, (32, 2, 0),
+     "497a30311fa67c585b664b05d4b7dba4ea39bf3b37b2db827fc0a8280a85acf8"),
+    (gen_drgp, (32, 2, 1),
+     "dd4b5af5db574357d97cfcf9519b78b21d7b0ff17fc90b97b000f8231809dc48"),
+    (gen_drgp, (32, 2, 2),
+     "8cd7e8c1854e6fbf0537a9c435ee9d653978e9d8df8838caaa20a9cf59f0f749"),
+    (gen_drgp, (32, 2, 3),
+     "a7bf4d189329b10ba26e22cd14da1d900f41e3bb25c32c64933ad0c7f5108320"),
+    (gen_drgp, (32, 2, 4),
+     "b2f37830804699aa0137058f583e7440752fd986a440d393106e5da10519f65b"),
+    (gen_drgp, (32, 2, 5),
+     "c3ad76530a926acc988c076b633c180fc4a30a5ddab87be83bdc531856232611"),
+    (gen_drgp, (32, 2, 6),
+     "887ba22427e0d0de4eba5915fd3fdf216e9acdd9847aa0161487d687c09c673f"),
+    (gen_drgp, (32, 2, 7),
+     "32167caf7a4fc7fe2c1b685de1183402bc7bd3266001a222553ccd50c644e5af"),
+    (gen_lcc, (64, 3, 0.05, 0),
+     "9ca7d6239f32e8fc0cee02717b202824922f55c8fd94437fc01876d991280edd"),
+    (gen_lcc, (64, 3, 0.05, 1),
+     "4e1ed715dd9c8f31da8a501e97325bbee673412e3ab7fcf4b9368ee218ab79ce"),
+    (gen_tensor_gap, (32, 3, 0),
+     "3901fd80ff2a049eda51201cb1aff8cf37a8f437f7235acf3f8f45a65641cfb7"),
+    (gen_tensor_gap, (32, 3, 1),
+     "11e107017a42616671cd2a61b53f3835dcd089db190dd5cd46ba19cb5af419fe"),
+    (gen_tensor_gap, (32, 3, 2),
+     "79e8342c49130a7e4e308274e494c10bd6e26fe5c16b3c802501e9668f29b987"),
+    (gen_tensor_gap, (32, 3, 3),
+     "ad9384409ca4165d190c7ab3b0eb1d8d7ab2653f2c337dff2323dfc58cc163d4"),
+    (gen_lrc, (32, 2, 0),
+     "7cb72584914ed2c3644495789d9c72b9e54c7d6e314d04141657268e30a7e468"),
+    (gen_lrc, (32, 2, 1),
+     "5ef7696b6127d7a1080ba8d8c5a81ec8b8d9c29776947f20b0045cde1bc1e5de"),
+    (gen_lrc, (32, 2, 2),
+     "e8573650dec86a2537c9efa24417ae814305dac0f206b165096c9e36df998993"),
+    (gen_lrc, (32, 2, 3),
+     "4c33c8ee845079ab5fb0b2fea022dac83aed442e8a5174555886085c7c47b14a"),
+]
+
+#: sha256 of ``capacity_lower_bound(gen_drgp(6, 2, s), 2).to_json()``, recorded
+#: with the golden results above.
+GOLDEN_CAPACITY = [
+    (0, "47a1526ffc5e678beda8fa16d7084d41c82e0fa9bfd0b0cc536291099ba1ab13"),
+    (4, "47a1526ffc5e678beda8fa16d7084d41c82e0fa9bfd0b0cc536291099ba1ab13"),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "gen, args, digest", GOLDEN_RESULTS,
+        ids=[f"{gen.__name__}{args}" for gen, args, _ in GOLDEN_RESULTS],
+    )
+    def test_exact_result(self, gen, args, digest):
+        assert json_digest(visible_rank_exact(gen(*args)).to_json()) == digest
+
+    @pytest.mark.parametrize(
+        "seed, digest", GOLDEN_CAPACITY, ids=[f"seed{s}" for s, _ in GOLDEN_CAPACITY]
+    )
+    def test_capacity(self, seed, digest):
+        assert json_digest(capacity_lower_bound(gen_drgp(6, 2, seed), 2).to_json()) == digest
+
+    def test_distinct_rank(self):
+        assert distinct_rank_exact(gen_lrc(6, 2, 0), 2).value == 5
+
+
+def chain_links(zeros: list[int]) -> list[tuple[int, int, int]]:
+    return [(z.bit_count(), i, z) for i, z in enumerate(zeros)]
+
+
+class TestChain:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force(self, seed):
+        # Zero sets of 3..10 columns, at most 8 of them, chains up to 4 long
+        # and any need; a candidate that fails one link's threshold may meet
+        # a later, lower one.
+        rng = rng_for(seed)
+        outcomes = []
+        for _ in range(60):
+            width = int(rng.integers(3, 11))
+            density = float(rng.choice([0.5, 0.7, 0.85]))
+            zeros = [
+                sum(1 << j for j in range(width) if rng.random() < density)
+                for _ in range(int(rng.integers(0, 9)))
+            ]
+            a = int(rng.integers(0, 5))
+            need = int(rng.integers(0, width + 3))
+            expected = brute_chain(zeros, need, a)
+            assert _chain_exists(chain_links(zeros), need, a) == expected, (zeros, need, a)
+            outcomes.append(expected)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_later_link_kept(self):
+        # Thresholds 3, 2, 1: z3 meets z1 and z2 in one column each, too few
+        # for the second link, yet it is the third in z1, z2, z3.
+        zeros = [0b0111, 0b1011, 0b0001]
+        assert brute_chain(zeros, 4, 3)
+        assert _chain_exists(chain_links(zeros), 4, 3)
+        assert not _chain_exists(chain_links(zeros), 5, 3)
+
+    def test_work_cap_and_deadline_answer_may_extend(self, monkeypatch):
+        # No chain of three: the pair z1, z2 has no third link.  Giving up
+        # answers True, which only keeps a node the check could have cut.
+        links = chain_links([0b0111, 0b1011, 0b1100])
+        assert not _chain_exists(links, 4, 3)
+        assert _chain_exists(links, 4, 3, deadline=time.monotonic() - 1)
+        monkeypatch.setattr(engine, "_CHAIN_WORK", 0)
+        assert _chain_exists(links, 4, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_drgp64_node_count(self, seed):
+        # The chain check proves these optima in 1788 and 1433 nodes; the
+        # pair prune alone took 19637 and 12037.
+        H = gen_drgp(64, 2, seed)
+        res = visible_rank_exact(H, node_budget=3600)
+        assert res.exact and res.certificate.verify(H)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_drgp(128, 2, 1), lambda: gen_lcc(256, 3, 0.05, 1)],
+        ids=["drgp128", "lcc256"],
+    )
+    def test_time_budget_kept(self, make):
+        H = make()
+        start = time.monotonic()
+        res = visible_rank_exact(H, time_budget=0.5)
+        assert time.monotonic() - start < 1.5
+        assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
