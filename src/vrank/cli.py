@@ -420,11 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "budget_ms", None) is not None and args.budget_ms < 0:
-            raise stencil.StencilError("--budget-ms must be >= 0")
+        for flag in ("budget_ms", "budget"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise stencil.StencilError(f"--{flag.replace('_', '-')} must be >= 0")
         return args.func(args)
     except (stencil.StencilError, gf.FieldError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not ASCII (byte {exc.object[exc.start]:#x} at offset "
+              f"{exc.start})", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input too deep (Python recursion limit exceeded)", file=sys.stderr)

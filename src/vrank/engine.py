@@ -258,49 +258,59 @@ def greedy_lower_bound(H: Stencil) -> tuple[int, DiagonalCertificate]:
     return len(pairs), _certificate_from_sequence(H, pairs)
 
 
-def zero_rectangle_bound(H: Stencil, a_max: int = 3, max_subsets: int = 2_000_000) -> int:
+#: The most subsets ``zero_rectangle_bound`` counts over all its levels.
+_ZRECT_SUBSETS = 2_000_000
+
+
+def zero_rectangle_bound(H: Stencil, a_max: int = 3) -> int:
     """Upper bound on vrk: min over a of a + b*(a), where b*(a) is the widest
-    all-zero a x b sub-stencil.  Exact at each completed level of a; levels
-    whose subset enumeration would blow the budget are skipped."""
-    full = (1 << H.n) - 1
-    zeros = [full & ~mask for mask in H.rows]
-    m = H.m
-    best = min(H.m, H.n)
-    if m == 0 or H.n == 0:
+    all-zero a x b sub-stencil.  Exact at each completed level of a; the walk
+    stops before a level that would take the subset count past
+    ``_ZRECT_SUBSETS``.
+
+    Level a is walked, not stored: each (a-1)-subset whose zero sets still
+    share a column, kept as (intersection, last row i), meets every later
+    row.  Its a-subsets have C(m - i - 1, 2) children in all, which counts
+    the next level without a pass over this one."""
+    m, n = H.m, H.n
+    if m == 0 or n == 0:
         return 0
-    # level holds (intersection mask, last row index) for every a-subset.
-    level = [(zeros[i], i) for i in range(m)]
+    full = (1 << n) - 1
+    zeros = [full & ~mask for mask in H.rows]
+    best = min(m, n)
+    prefixes = [(full, -1)]
     spent = m
     a = 1
     while True:
-        b_star = max((mask.bit_count() for mask, _ in level), default=0)
-        best = min(best, a + b_star)
+        widths = ((inter & z).bit_count() for inter, i in prefixes for z in zeros[i + 1:])
+        best = min(best, a + max(widths, default=0))
         if a >= a_max or a >= m or best <= a + 1:
-            break
-        est = sum(m - i - 1 for _, i in level)
-        if spent + est > max_subsets:
-            break
-        nxt = []
-        for mask, i in level:
-            if not mask:
-                continue
-            for j in range(i + 1, m):
-                nxt.append((mask & zeros[j], j))
-        spent += est
-        level = nxt
+            return best
+        spent += sum((m - i - 1) * (m - i - 2) // 2 for _, i in prefixes)
+        if spent > _ZRECT_SUBSETS:
+            return best
+        prefixes = [
+            (meet, j)
+            for inter, i in prefixes
+            for j in range(i + 1, m)
+            if (meet := inter & zeros[j])
+        ]
         a += 1
-    return best
 
 
-def visible_rank_bounds(H: Stencil, a_max: int = 3) -> VrankResult:
+def _upper_bound(H: Stencil, mub: int, upper: int | None = None) -> tuple[int, str]:
+    """The least of the matching bound ``mub``, the zero-rectangle bound and
+    ``upper``, with its provenance; ties go to them in that order."""
+    bounds = [(mub, PROV_MATCHING), (zero_rectangle_bound(H), PROV_ZERO_RECT)]
+    if upper is not None:
+        bounds.append((upper, PROV_WITNESS))
+    return min(bounds, key=lambda b: b[0])
+
+
+def visible_rank_bounds(H: Stencil) -> VrankResult:
     """Cheap sound bracket: greedy lower bound vs min(matching, zero-rectangle)."""
     lb, cert = greedy_lower_bound(H)
-    mub = max_matching_size(H)
-    zub = zero_rectangle_bound(H, a_max)
-    if mub <= zub:
-        ub, prov = mub, PROV_MATCHING
-    else:
-        ub, prov = zub, PROV_ZERO_RECT
+    ub, prov = _upper_bound(H, max_matching_size(H))
     return VrankResult(lb, ub, cert, prov, exact=lb == ub)
 
 
@@ -343,10 +353,7 @@ def visible_rank_exact(
         _check_upper(best, upper)
     if completed:
         return VrankResult(best, best, best_cert, PROV_EXACT, exact=True)
-    bounds = [(mub, PROV_MATCHING), (zero_rectangle_bound(H), PROV_ZERO_RECT)]
-    if upper is not None:
-        bounds.append((upper, PROV_WITNESS))
-    ub, prov = min(bounds, key=lambda b: b[0])
+    ub, prov = _upper_bound(H, mub, upper)
     return VrankResult(best, ub, best_cert, prov, exact=best == ub)
 
 

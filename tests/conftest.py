@@ -7,7 +7,9 @@ by enumerating subsets of the universe and closing each under the spanoid's
 inference rules, min-rank by ranking every GF(p) witness, distinct rank by a
 recursive branch-and-bound with no memo, a certificate by materialising
 its permuted sub-stencil, the search's zero-set chain check by trying every
-ordered subset, and the row-grouped families (DRGP and tensor-gap
+ordered subset, the zero-rectangle bound by listing every a-subset (once
+level by level under a subset budget, once by ``itertools.combinations``),
+and the row-grouped families (DRGP and tensor-gap
 sampling, and the clauses of their validator) by nested loops over every
 (i, j) pair.
 """
@@ -239,6 +241,59 @@ def brute_chain(zeros: list[int], need: int, a: int) -> bool:
         else:
             return True
     return False
+
+
+def level_zero_rectangle(H: Stencil, a_max: int, max_subsets: int) -> int:
+    """``zero_rectangle_bound`` with a list of (intersection, last row) for
+    every a-subset: level a + 1 extends the a-subsets that still share a zero
+    column, and is skipped, with every later level, when a pass over level a
+    counts more subsets than ``max_subsets`` allows in all."""
+    full = (1 << H.n) - 1
+    zeros = [full & ~mask for mask in H.rows]
+    m = H.m
+    best = min(H.m, H.n)
+    if m == 0 or H.n == 0:
+        return 0
+    level = [(zeros[i], i) for i in range(m)]
+    spent = m
+    a = 1
+    while True:
+        b_star = max((mask.bit_count() for mask, _ in level), default=0)
+        best = min(best, a + b_star)
+        if a >= a_max or a >= m or best <= a + 1:
+            break
+        est = sum(m - i - 1 for _, i in level)
+        if spent + est > max_subsets:
+            break
+        nxt = []
+        for mask, i in level:
+            if not mask:
+                continue
+            for j in range(i + 1, m):
+                nxt.append((mask & zeros[j], j))
+        spent += est
+        level = nxt
+        a += 1
+    return best
+
+
+def brute_zero_rectangle(H: Stencil, a_max: int) -> int:
+    """The least of min(m, n) and, for 1 <= a <= max(a_max, 1), a plus the
+    most zero columns any a rows share, over every a-subset of rows; 0 when
+    H has no rows or no columns."""
+    if H.m == 0 or H.n == 0:
+        return 0
+    zeros = [~mask for mask in H.rows]
+    best = min(H.m, H.n)
+    for a in range(1, min(max(a_max, 1), H.m) + 1):
+        widest = 0
+        for subset in combinations(zeros, a):
+            inter = (1 << H.n) - 1
+            for z in subset:
+                inter &= z
+            widest = max(widest, inter.bit_count())
+        best = min(best, a + widest)
+    return best
 
 
 def loop_gen_grouped(family: Family, n: int, t: int, seed: int) -> Stencil:

@@ -91,6 +91,21 @@ class TestVrank:
         assert_input_error(capsys, "vrank", str(p))
 
     @pytest.mark.parametrize(
+        "argv, data",
+        [(["vrank", "FILE"], b"stencil 2 2\n*\xc3\xa9\n0*\n"),
+         (["spanoid", "rank", "FILE"], b'\xef\xbb\xbf{"n": 2, "sets": [[1, 2]]}'),
+         (["verify", "STENCIL", "--certificate", "FILE"], b'{"rows": [1], "cols": ["\xe9"]}'),
+         (["experiment", "--spec", "FILE"], b'\xef\xbb\xbf{"family": "drgp"}')],
+        ids=["vrank-non-ascii", "spanoid-bom", "certificate-non-ascii", "spec-bom"],
+    )
+    def test_non_ascii_input_exit_2(self, capsys, tmp_path, d3_path, argv, data):
+        p = tmp_path / "bad"
+        p.write_bytes(data)
+        assert_input_error(
+            capsys, *[{"FILE": str(p), "STENCIL": d3_path}.get(a, a) for a in argv]
+        )
+
+    @pytest.mark.parametrize(
         "labels",
         [{"row_labels": 5}, {"row_labels": [[1], "x"]}, {"col_labels": [[1]]},
          {"col_labels": [[1], [2.5]]}],
@@ -358,9 +373,10 @@ class TestExperiment:
          ["experiment", "--family", "lrc", "--n", "8", "--ell", "2", "--budget-ms", "-5"],
          ["vrank", "STENCIL", "--budget-ms", "-5"],
          ["tensor", "STENCIL", "--power", "2", "--budget-ms", "-5"],
-         ["minrank", "STENCIL", "--field", "3", "--budget-ms", "-5"]],
+         ["minrank", "STENCIL", "--field", "3", "--budget-ms", "-5"],
+         ["minrank", "STENCIL", "--field", "3", "--budget", "-1"]],
         ids=["non-prime-field", "negative-budget", "negative-budget-vrank",
-             "negative-budget-tensor", "negative-budget-minrank"],
+             "negative-budget-tensor", "negative-budget-minrank", "negative-node-budget-minrank"],
     )
     def test_malformed_flags_exit_2(self, capsys, d3_path, argv):
         assert_input_error(capsys, *[d3_path if a == "STENCIL" else a for a in argv])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ import vrank.engine as engine
 from tests.conftest import (
     brute_chain,
     brute_vrank,
+    brute_zero_rectangle,
     count_star_diagonals,
+    level_zero_rectangle,
     random_stencil,
     rng_for,
     verify_by_substencil,
@@ -55,6 +58,14 @@ I3 = Stencil.from_rows([1, 2, 4], 3)
 I5 = Stencil.from_rows([1 << i for i in range(5)], 5)
 D3 = Stencil.from_rows([0b110, 0b101, 0b011], 3)
 ALLSTAR = Stencil.from_rows([0b1111] * 4, 4)
+ZRECT_SUBSETS = engine._ZRECT_SUBSETS
+
+
+def _random_with_full_rows(rng, m: int, n: int) -> Stencil:
+    """An m x n stencil at a random density, about one row in six all-star."""
+    H = random_stencil(rng, m, n, density=rng.random())
+    full = (1 << n) - 1
+    return Stencil.from_rows([full if rng.random() < 1 / 6 else r for r in H.rows], n)
 
 
 class TestPeeling:
@@ -348,6 +359,16 @@ class TestBounds:
         assert b.lower_bound <= v <= b.upper_bound
         assert b.certificate.verify(H)
 
+    def test_budget_stop_has_the_same_bracket(self):
+        # A search stopped before its first node reports the bracket of
+        # visible_rank_bounds, provenance and certificate included.
+        rng = rng_for(7)
+        cases = [_random_with_full_rows(rng, *(int(x) for x in rng.integers(0, 10, 2)))
+                 for _ in range(300)]
+        cases += [gen_drgp(16, 2, 0), gen_drgp(32, 2, 1), gen_lcc(64, 3, 0.05, 0)]
+        for H in cases:
+            assert visible_rank_exact(H, node_budget=0).to_json() == visible_rank_bounds(H).to_json()
+
 
 class TestGreedy:
     def test_identity(self):
@@ -383,6 +404,31 @@ class TestZeroRectangle:
     def test_sound_upper_bound(self, seed):
         H = random_stencil(rng_for(seed), 6, 6, density=0.4)
         assert visible_rank_exact(H).lower_bound <= zero_rectangle_bound(H)
+
+    @pytest.mark.parametrize("subsets", [0, 5, 30, 200, ZRECT_SUBSETS])
+    def test_matches_level_lists(self, monkeypatch, subsets):
+        # Small subset budgets skip levels; under the default one nothing is
+        # skipped on 8 rows or fewer, so every a-subset is compared as well.
+        monkeypatch.setattr(engine, "_ZRECT_SUBSETS", subsets)
+        rng = rng_for(subsets)
+        for _ in range(400):
+            m, n, a_max = (int(x) for x in rng.integers(0, [11, 11, 6]))
+            H = _random_with_full_rows(rng, m, n)
+            got = zero_rectangle_bound(H, a_max)
+            assert got == level_zero_rectangle(H, a_max, subsets)
+            if subsets == ZRECT_SUBSETS and m <= 8:
+                assert got == brute_zero_rectangle(H, a_max)
+
+    def test_walk_stores_no_level(self):
+        # A list of every pair of the 512 rows, as a stored level 2 is, takes 19 MB.
+        H = gen_drgp(256, 2, 0)
+        tracemalloc.start()
+        try:
+            zero_rectangle_bound(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestVisiblyIndependent:
