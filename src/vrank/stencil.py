@@ -238,19 +238,43 @@ def substencil(H: Stencil, row_subset, col_subset) -> Stencil:
 
 
 def max_matching_size(H: Stencil) -> int:
-    """Maximum bipartite matching of the star pattern (Hopcroft-Karp)."""
-    return _hopcroft_karp([mask for mask in H.rows], H.n)
+    """Maximum bipartite matching of the star pattern: a greedy warm start,
+    then Hopcroft-Karp phases from the rows it left free."""
+    return _hopcroft_karp(H.rows, H.n)
 
 
-def _hopcroft_karp(masks: list[int], n: int) -> int:
+def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
+    """Each row first takes the lowest column that no earlier row took, a
+    few big-int operations per row.  When that matches min(m, n) edges no
+    phase can add one; otherwise Hopcroft-Karp phases run from the free
+    rows, and a row's column list is built only when a phase reaches it."""
     INF = float("inf")
     m = len(masks)
-    adj = [[j for j in range(n) if mask >> j & 1] for mask in masks]
     match_row = [-1] * m
     match_col = [-1] * n
+    used = size = 0
+    for i, mask in enumerate(masks):
+        free = mask & ~used
+        if free:
+            low = free & -free
+            used |= low
+            j = low.bit_length() - 1
+            match_row[i] = j
+            match_col[j] = i
+            size += 1
+    adj = [None] * m
     dist = [INF] * m
-    edges = []  # per row, an iterator over the columns left to try in this phase
-    size = 0
+    edges = [None] * m  # per row, an iterator over the columns left to try in this phase
+
+    def cols(i: int) -> list[int]:
+        if adj[i] is None:
+            out, mask = [], masks[i]
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+            adj[i] = out
+        return adj[i]
 
     def bfs() -> bool:
         for i in range(m):
@@ -261,7 +285,7 @@ def _hopcroft_karp(masks: list[int], n: int) -> int:
         while head < len(queue):
             i = queue[head]
             head += 1
-            for j in adj[i]:
+            for j in cols(i):
                 k = match_col[j]
                 if k == -1:
                     found = True
@@ -278,6 +302,8 @@ def _hopcroft_karp(masks: list[int], n: int) -> int:
         path, via = [root], []
         while path:
             i = path[-1]
+            if edges[i] is None:
+                edges[i] = iter(cols(i))
             layer = dist[i] + 1
             for j in edges[i]:
                 k = match_col[j]
@@ -298,8 +324,8 @@ def _hopcroft_karp(masks: list[int], n: int) -> int:
                     via.pop()
         return False
 
-    while bfs():
-        edges[:] = map(iter, adj)
+    while size < min(m, n) and bfs():
+        edges[:] = [None] * m
         for i in range(m):
             if match_row[i] == -1 and augment(i):
                 size += 1

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's search code so they can
 serve as ground truth: visible rank is recomputed by enumerating every square
 sub-stencil and counting its star diagonals via the permanent, spanoid rank
 by enumerating subsets of the universe and closing each under the spanoid's
-inference rules, min-rank by ranking every GF(p) witness, distinct rank by a
-recursive branch-and-bound with no memo, a certificate by materialising
+inference rules, the maximum matching by Kuhn's augmenting paths over
+explicit column lists, min-rank by ranking every GF(p) witness, distinct
+rank by a recursive branch-and-bound with no memo, a certificate by materialising
 its permuted sub-stencil, the search's zero-set chain check by trying every
 ordered subset, the zero-rectangle bound by listing every a-subset (once
 level by level under a subset budget, once by ``itertools.combinations``),
@@ -96,6 +97,38 @@ def verify_by_substencil(cert: DiagonalCertificate, H: Stencil) -> bool:
         row_seen.add(pi)
         col_active &= ~(1 << (pj - 1))
     return col_active == 0
+
+
+def brute_matching(masks: tuple[int, ...], n: int) -> int:
+    """Maximum matching of rows to columns by Kuhn's algorithm: one
+    depth-first augmenting-path search from each row in turn, over column
+    lists read off the masks."""
+    adj = [[j for j in range(n) if mask >> j & 1] for mask in masks]
+    owner = [-1] * n
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] == -1 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(masks)))
+
+
+def greedy_free_rows(masks: tuple[int, ...]) -> list[int]:
+    """Rows, 0-based, left unmatched when each row in turn takes the lowest
+    column that no earlier row took."""
+    used, free = 0, []
+    for i, mask in enumerate(masks):
+        avail = mask & ~used
+        if avail:
+            used |= avail & -avail
+        else:
+            free.append(i)
+    return free
 
 
 def brute_vrank(H: Stencil) -> int:

@@ -2,19 +2,24 @@
 
 import json
 import sys
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import (
     OracleLimitError,
+    brute_matching,
     count_star_diagonals,
+    greedy_free_rows,
     permanent_by_permutations,
     random_stencil,
     rng_for,
 )
+from vrank.families import gen_drgp
 from vrank.stencil import (
     DuplicateLabelError,
     IllegalCharacterError,
@@ -221,9 +226,11 @@ class TestMatching:
 
     def test_long_augmenting_path_within_recursion_limit(self):
         # Rows {j, j+1} take the diagonal; the last row {1} then needs an
-        # augmenting path through every column.
+        # augmenting path through every column.  The warm start leaves only
+        # that row free, so the phase's explicit-stack augment walks the path.
         n = 400
         M = Stencil.from_rows([0b11 << j for j in range(n - 1)] + [1], n)
+        assert greedy_free_rows(M.rows) == [n - 1]
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
         try:
@@ -246,6 +253,34 @@ class TestMatching:
             default=0,
         )
         assert max_matching_size(M) == oracle
+
+    def test_matches_kuhn_oracle(self):
+        # Shapes 0..30 with densities log-uniform in [0.03, 0.5], so empty
+        # rows and empty columns are common.  About a quarter of the cases
+        # leave the warm start short of the maximum; at least a fifth must,
+        # so that the augmenting phases are exercised.
+        rng = rng_for(20)
+        short = 0
+        for _ in range(500):
+            m, n = (int(x) for x in rng.integers(0, 31, 2))
+            density = float(np.exp(rng.uniform(np.log(0.03), np.log(0.5))))
+            M = random_stencil(rng, m, n, density)
+            want = brute_matching(M.rows, n)
+            assert max_matching_size(M) == want
+            short += m - len(greedy_free_rows(M.rows)) < want
+        assert short >= 100
+
+    def test_matching_builds_no_adjacency(self):
+        # A column list for each of the 1024 rows, as a phase would build,
+        # takes over 6 MB; the warm start already matches all 512 columns.
+        H = gen_drgp(512, 2, 0)
+        tracemalloc.start()
+        try:
+            max_matching_size(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
