@@ -247,7 +247,7 @@ def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
     """Each row first takes the lowest column that no earlier row took, a
     few big-int operations per row.  When that matches min(m, n) edges no
     phase can add one; otherwise Hopcroft-Karp phases run from the free
-    rows, and a row's column list is built only when a phase reaches it."""
+    rows over every row's column list."""
     INF = float("inf")
     m = len(masks)
     match_row = [-1] * m
@@ -262,19 +262,11 @@ def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
             match_row[i] = j
             match_col[j] = i
             size += 1
-    adj = [None] * m
+    if size == min(m, n):
+        return size
+    adj = [[j for j in range(n) if mask >> j & 1] for mask in masks]
     dist = [INF] * m
-    edges = [None] * m  # per row, an iterator over the columns left to try in this phase
-
-    def cols(i: int) -> list[int]:
-        if adj[i] is None:
-            out, mask = [], masks[i]
-            while mask:
-                low = mask & -mask
-                out.append(low.bit_length() - 1)
-                mask ^= low
-            adj[i] = out
-        return adj[i]
+    edges = []  # per row, an iterator over the columns left to try in this phase
 
     def bfs() -> bool:
         for i in range(m):
@@ -285,7 +277,7 @@ def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
         while head < len(queue):
             i = queue[head]
             head += 1
-            for j in cols(i):
+            for j in adj[i]:
                 k = match_col[j]
                 if k == -1:
                     found = True
@@ -302,8 +294,6 @@ def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
         path, via = [root], []
         while path:
             i = path[-1]
-            if edges[i] is None:
-                edges[i] = iter(cols(i))
             layer = dist[i] + 1
             for j in edges[i]:
                 k = match_col[j]
@@ -324,8 +314,8 @@ def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
                     via.pop()
         return False
 
-    while size < min(m, n) and bfs():
-        edges[:] = [None] * m
+    while bfs():
+        edges[:] = map(iter, adj)
         for i in range(m):
             if match_row[i] == -1 and augment(i):
                 size += 1
