@@ -199,17 +199,7 @@ def permute(H: Stencil, p: PermutationPair) -> Stencil:
             f"permutation sizes ({len(p.row_perm)},{len(p.col_perm)}) "
             f"do not match stencil ({H.m},{H.n})"
         )
-    masks = []
-    for i in range(H.m):
-        src = H.rows[p.row_perm[i] - 1]
-        mask = 0
-        for j in range(H.n):
-            if src >> (p.col_perm[j] - 1) & 1:
-                mask |= 1 << j
-        masks.append(mask)
-    rl = tuple(H.row_labels[p.row_perm[i] - 1] for i in range(H.m))
-    cl = tuple(H.col_labels[p.col_perm[j] - 1] for j in range(H.n))
-    return Stencil(H.m, H.n, tuple(masks), rl, cl)
+    return substencil(H, p.row_perm, p.col_perm)
 
 
 def substencil(H: Stencil, row_subset, col_subset) -> Stencil:
@@ -238,17 +228,16 @@ def substencil(H: Stencil, row_subset, col_subset) -> Stencil:
 
 
 def max_matching_size(H: Stencil) -> int:
-    """Maximum bipartite matching of the star pattern: a greedy warm start,
-    then Hopcroft-Karp phases from the rows it left free."""
-    return _hopcroft_karp(H.rows, H.n)
+    """Maximum bipartite matching of the star pattern.
 
-
-def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
-    """Each row first takes the lowest column that no earlier row took, a
-    few big-int operations per row.  When that matches min(m, n) edges no
-    phase can add one; otherwise Hopcroft-Karp phases run from the free
-    rows over every row's column list."""
-    INF = float("inf")
+    Each row first takes the lowest column that no earlier row took, a few
+    big-int operations per row; when that matches min(m, n) edges no search
+    can add one.  Otherwise one breadth-first augmenting-path search runs
+    over the row masks from each row left free.  The columns that a failed
+    search saw stay seen until the next flip, since no free column is
+    reachable through them; a row with no augmenting path never gains one,
+    so one pass over the rows is enough."""
+    masks, n = H.rows, H.n
     m = len(masks)
     match_row = [-1] * m
     match_col = [-1] * n
@@ -264,61 +253,39 @@ def _hopcroft_karp(masks: tuple[int, ...], n: int) -> int:
             size += 1
     if size == min(m, n):
         return size
-    adj = [[j for j in range(n) if mask >> j & 1] for mask in masks]
-    dist = [INF] * m
-    edges = []  # per row, an iterator over the columns left to try in this phase
-
-    def bfs() -> bool:
-        for i in range(m):
-            dist[i] = 0 if match_row[i] == -1 else INF
-        queue = [i for i in range(m) if match_row[i] == -1]
-        found = False
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            for j in adj[i]:
-                k = match_col[j]
-                if k == -1:
-                    found = True
-                elif dist[k] is INF:
-                    dist[k] = dist[i] + 1
-                    queue.append(k)
-        return found
-
-    def augment(root: int) -> bool:
-        """Find a layered augmenting path from the free row ``root`` and flip
-        it, walking on an explicit stack (``path`` holds rows, ``via[t]`` the
-        column from ``path[t]`` to ``path[t + 1]``).  A row with no way
-        forward leaves the layering for the rest of the phase."""
-        path, via = [root], []
-        while path:
-            i = path[-1]
-            layer = dist[i] + 1
-            for j in edges[i]:
-                k = match_col[j]
-                if k == -1:
-                    via.append(j)
-                    for r, c in zip(path, via):
-                        match_row[r] = c
-                        match_col[c] = r
-                    return True
-                if dist[k] == layer:
-                    via.append(j)
-                    path.append(k)
+    via = [-1] * n  # the row from which the current search first saw a column
+    seen = 0
+    for root in range(m):
+        if match_row[root] != -1:
+            continue
+        frontier, end = [root], -1
+        while frontier and end == -1:
+            step = []
+            for i in frontier:
+                new = masks[i] & ~seen
+                seen |= new
+                out = new & ~used
+                if out:
+                    end = (out & -out).bit_length() - 1
+                    via[end] = i
                     break
-            else:
-                dist[i] = INF
-                path.pop()
-                if via:
-                    via.pop()
-        return False
-
-    while bfs():
-        edges[:] = map(iter, adj)
-        for i in range(m):
-            if match_row[i] == -1 and augment(i):
-                size += 1
+                while new:
+                    low = new & -new
+                    j = low.bit_length() - 1
+                    via[j] = i
+                    step.append(match_col[j])
+                    new ^= low
+            frontier = step
+        if end == -1:
+            continue
+        j = end
+        while j != -1:
+            i = via[j]
+            match_col[j] = i
+            match_row[i], j = j, match_row[i]
+        used |= 1 << end
+        seen = 0
+        size += 1
     return size
 
 

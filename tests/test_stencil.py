@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -227,7 +228,7 @@ class TestMatching:
     def test_long_augmenting_path_within_recursion_limit(self):
         # Rows {j, j+1} take the diagonal; the last row {1} then needs an
         # augmenting path through every column.  The warm start leaves only
-        # that row free, so the phase's explicit-stack augment walks the path.
+        # that row free, so one breadth-first search from it walks the path.
         n = 400
         M = Stencil.from_rows([0b11 << j for j in range(n - 1)] + [1], n)
         assert greedy_free_rows(M.rows) == [n - 1]
@@ -238,6 +239,15 @@ class TestMatching:
         finally:
             sys.setrecursionlimit(limit)
         assert size == n
+
+    def test_staircase_3000_matches_quickly(self):
+        # The same pattern on 3000 columns: one search walks the whole path
+        # over the row masks.
+        n = 3000
+        M = Stencil.from_rows([0b11 << j for j in range(n - 1)] + [1], n)
+        start = time.monotonic()
+        assert max_matching_size(M) == n
+        assert time.monotonic() - start < 0.2
 
     @given(st.integers(0, 2**30), st.integers(1, 6), st.integers(1, 6),
            st.sampled_from([0.2, 0.4, 0.6]))
@@ -258,7 +268,7 @@ class TestMatching:
         # Shapes 0..30 with densities log-uniform in [0.03, 0.5], so empty
         # rows and empty columns are common.  About a quarter of the cases
         # leave the warm start short of the maximum; at least a fifth must,
-        # so that the augmenting phases are exercised.
+        # so that the augmenting-path searches are exercised.
         rng = rng_for(20)
         short = 0
         for _ in range(500):
@@ -269,10 +279,22 @@ class TestMatching:
             assert max_matching_size(M) == want
             short += m - len(greedy_free_rows(M.rows)) < want
         assert short >= 100
+        # A sparse band up to 200 x 200, about one to four stars per row,
+        # in which 20-60% of the columns are never starred: searches from
+        # free rows fail there before later ones flip a path.
+        for _ in range(40):
+            m, n = (int(x) for x in rng.integers(1, 201, 2))
+            M = random_stencil(rng, m, n, float(rng.uniform(1, 4)) / n)
+            dead = rng.random(n) < rng.uniform(0.2, 0.6)
+            live = sum(1 << j for j in range(n) if not dead[j])
+            masks = tuple(mask & live for mask in M.rows)
+            want = brute_matching(masks, n)
+            assert max_matching_size(Stencil.from_rows(masks, n)) == want
 
     def test_matching_builds_no_adjacency(self):
-        # A column list for each of the 1024 rows, as a phase would build,
-        # takes over 6 MB; the warm start already matches all 512 columns.
+        # The search walks row masks, not column lists: a list for each of
+        # the 1024 rows would take over 6 MB.  Here the warm start already
+        # matches all 512 columns.
         H = gen_drgp(512, 2, 0)
         tracemalloc.start()
         try:
