@@ -15,6 +15,8 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .stencil import (
     PermutationPair,
     Stencil,
@@ -260,6 +262,8 @@ def greedy_lower_bound(H: Stencil) -> tuple[int, DiagonalCertificate]:
 
 #: The most subsets ``zero_rectangle_bound`` counts over all its levels.
 _ZRECT_SUBSETS = 2_000_000
+#: Prefixes per matrix product in ``zero_rectangle_bound``.
+_ZRECT_BLOCK = 64
 
 
 def zero_rectangle_bound(H: Stencil, a_max: int = 3) -> int:
@@ -268,33 +272,53 @@ def zero_rectangle_bound(H: Stencil, a_max: int = 3) -> int:
     stops before a level that would take the subset count past
     ``_ZRECT_SUBSETS``.
 
-    Level a is walked, not stored: each (a-1)-subset whose zero sets still
-    share a column, kept as (intersection, last row i), meets every later
-    row.  Its a-subsets have C(m - i - 1, 2) children in all, which counts
-    the next level without a pass over this one."""
+    Level a extends the (a-1)-subsets whose zero sets still share a column,
+    held as a packed array of their intersections and an array of their last
+    rows i; level 1 has one all-ones prefix with last row -1.  The widths of
+    a block of prefixes against every row are one 0/1 matrix product, of
+    which only the columns past each prefix's last row count.  A prefix has
+    C(m - i - 1, 2) grandchildren, so the next level is counted before this
+    one runs, and its prefixes are collected only when it fits."""
     m, n = H.m, H.n
     if m == 0 or n == 0:
         return 0
+    width = (n + 7) // 8
     full = (1 << n) - 1
-    zeros = [full & ~mask for mask in H.rows]
+
+    def packed(masks) -> np.ndarray:
+        data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        return np.frombuffer(data, np.uint8).reshape(-1, width)
+
+    def unpacked(rows: np.ndarray) -> np.ndarray:
+        # float32 sums of 0/1 products are exact while n < 2**24.
+        return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(np.float32)
+
+    zeros = packed(full & ~mask for mask in H.rows)
+    zeros_t = unpacked(zeros).T
+    cols = np.arange(m)
+    prefixes, last = packed([full]), np.array([-1])
     best = min(m, n)
-    prefixes = [(full, -1)]
     spent = m
     a = 1
     while True:
-        widths = ((inter & z).bit_count() for inter, i in prefixes for z in zeros[i + 1:])
-        best = min(best, a + max(widths, default=0))
-        if a >= a_max or a >= m or best <= a + 1:
+        spent += int(((m - last - 1) * (m - last - 2) // 2).sum())
+        deeper = a < a_max and a < m and spent <= _ZRECT_SUBSETS
+        widest, rows, ends = 0, [], []
+        for s in range(0, len(last), _ZRECT_BLOCK):
+            block = last[s:s + _ZRECT_BLOCK]
+            lo = block.min() + 1
+            widths = unpacked(prefixes[s:s + _ZRECT_BLOCK]) @ zeros_t[:, lo:]
+            widths *= cols[lo:] > block[:, None]
+            widest = max(widest, int(widths.max(initial=0)))
+            if deeper:
+                r, j = np.nonzero(widths)
+                rows.append(r + s)
+                ends.append(j + lo)
+        best = min(best, a + widest)
+        if not deeper or best <= a + 1:
             return best
-        spent += sum((m - i - 1) * (m - i - 2) // 2 for _, i in prefixes)
-        if spent > _ZRECT_SUBSETS:
-            return best
-        prefixes = [
-            (meet, j)
-            for inter, i in prefixes
-            for j in range(i + 1, m)
-            if (meet := inter & zeros[j])
-        ]
+        rows, last = np.concatenate(rows), np.concatenate(ends)
+        prefixes = prefixes[rows] & zeros[last]
         a += 1
 
 

@@ -419,6 +419,28 @@ class TestZeroRectangle:
             if subsets == ZRECT_SUBSETS and m <= 8:
                 assert got == brute_zero_rectangle(H, a_max)
 
+    @pytest.mark.parametrize("m", [63, 64, 65, 129])
+    def test_matches_level_lists_at_block_edges(self, m):
+        # Level 2 has m prefixes, so 65 and 129 rows cross one and two block
+        # boundaries of engine._ZRECT_BLOCK = 64; at half density level 3
+        # runs on 1.6k-8k prefixes for n >= 7.  n = 1 stops at level 1, and
+        # n not a multiple of 8 leaves padding bits in the packed rows.
+        rng = rng_for(m)
+        for n in (1, 7, 9, 63, 65):
+            H = random_stencil(rng, m, n, density=0.5)
+            for a_max in (1, 2, 3):
+                assert zero_rectangle_bound(H, a_max) == level_zero_rectangle(H, a_max, ZRECT_SUBSETS)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_drgp(32, 2, 0), lambda: gen_lcc(64, 3, 0.05, 0)], ids=["drgp32", "lcc64"]
+    )
+    def test_matches_level_lists_on_families(self, make):
+        # Level 3 runs on both; level 4 runs on DRGP-32 and not on LCC-64,
+        # whose 192 rows put it past the subset budget.
+        H = make()
+        for a_max in range(1, 5):
+            assert zero_rectangle_bound(H, a_max) == level_zero_rectangle(H, a_max, ZRECT_SUBSETS)
+
     def test_walk_stores_no_level(self):
         # A list of every pair of the 512 rows, as a stored level 2 is, takes 19 MB.
         H = gen_drgp(256, 2, 0)
@@ -429,6 +451,19 @@ class TestZeroRectangle:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_large_walk_keeps_no_level_mask(self):
+        # The 512 x 1024 float32 transposed zero sets take 2 MB; the products
+        # run 64 prefixes at a time, and level 3 is past the subset budget, so
+        # the children of level 2 (0.5M pairs) are never collected.
+        H = gen_drgp(512, 2, 0)
+        tracemalloc.start()
+        try:
+            zero_rectangle_bound(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestVisiblyIndependent:
