@@ -41,16 +41,17 @@ class SpecError(stencil.StencilError):
     """Malformed experiment spec."""
 
 
-#: The keys of a spec document besides "family": check and expected type.
+#: The keys of a spec document besides "family": the ``ExperimentSpec``
+#: field each sets, its check and its expected type.
 _SPEC_KEYS = {
-    "n": (is_json_int_list, "a list of integers"),
-    "param": (is_json_int_list, "a list of integers"),
-    "trials": (is_json_int, "an integer"),
-    "seed": (is_json_int, "an integer"),
-    "budget_ms": (is_json_int, "an integer"),
-    "field": (is_json_int, "an integer"),
-    "delta": (lambda x: is_json_int(x) or isinstance(x, float), "a number"),
-    "csv": (lambda x: isinstance(x, str), "a path"),
+    "n": ("n_values", is_json_int_list, "a list of integers"),
+    "param": ("param_values", is_json_int_list, "a list of integers"),
+    "trials": ("trials", is_json_int, "an integer"),
+    "seed": ("seed", is_json_int, "an integer"),
+    "budget_ms": ("budget_ms", is_json_int, "an integer"),
+    "field": ("field_p", is_json_int, "an integer"),
+    "delta": ("delta", lambda x: is_json_int(x) or isinstance(x, float), "a number"),
+    "csv": ("csv_path", lambda x: isinstance(x, str), "a path"),
 }
 
 
@@ -88,19 +89,17 @@ class ExperimentSpec:
         doc = {key: value for key, value in doc.items() if value is not None}
         if doc.get("family") not in {f.value for f in Family}:
             raise SpecError(f"spec 'family' must be one of {', '.join(f.value for f in Family)}")
-        for key, (ok, kind) in _SPEC_KEYS.items():
+        for key, (_, ok, kind) in _SPEC_KEYS.items():
             if key in doc and not ok(doc[key]):
                 raise SpecError(f"spec {key!r} must be {kind}")
+        # Only the keys present are passed, so the dataclass holds the
+        # defaults; a sweep without "n" or "param" is empty.
+        given = {_SPEC_KEYS[key][0]: value for key, value in doc.items() if key in _SPEC_KEYS}
         return ExperimentSpec(
-            family=Family(doc["family"]),
-            n_values=doc.get("n"),
-            param_values=doc.get("param"),
-            delta=doc.get("delta"),
-            trials=doc.get("trials", 1),
-            seed=doc.get("seed", 0),
-            budget_ms=doc.get("budget_ms", 5000),
-            field_p=doc.get("field"),
-            csv_path=doc.get("csv"),
+            Family(doc["family"]),
+            given.pop("n_values", None),
+            given.pop("param_values", None),
+            **given,
         )
 
 
@@ -312,22 +311,15 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="ascii") as fh:
-            spec = ExperimentSpec.from_json(json.load(fh))
-        if args.csv:
-            spec.csv_path = args.csv
+            doc = json.load(fh)
     else:
         fam, param_values = _family_param(args)
-        spec = ExperimentSpec(
-            family=fam,
-            n_values=args.n,
-            param_values=param_values,
-            delta=args.delta,
-            trials=args.trials,
-            seed=args.seed,
-            budget_ms=args.budget_ms,
-            field_p=args.field,
-            csv_path=args.csv,
-        )
+        doc = {"family": fam.value, "n": args.n, "param": param_values, "delta": args.delta,
+               "trials": args.trials, "seed": args.seed, "budget_ms": args.budget_ms,
+               "field": args.field}
+    spec = ExperimentSpec.from_json(doc)
+    if args.csv:
+        spec.csv_path = args.csv
     rows = run_experiment(spec)
     if not spec.csv_path:
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
@@ -408,11 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a sweep, emit CSV")
     p.add_argument("--spec", help="JSON experiment spec file")
     add_family_flags(p, list_valued=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--budget-ms", type=int, default=5000)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--budget-ms", type=int)
     p.add_argument("--field", type=int)
     p.add_argument("--csv")
-    p.set_defaults(func=cmd_experiment)
+    # A flag left out takes the ExperimentSpec default, as a spec key does.
+    p.set_defaults(func=cmd_experiment, seed=None)
 
     return parser
 

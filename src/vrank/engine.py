@@ -61,37 +61,34 @@ class DiagonalCertificate:
     def verify(self, H: Stencil) -> bool:
         """True iff the permuted sub-stencil is upper triangular with a star
         diagonal and ``peel_order`` peels it.  Linear in the size: the
-        triangular order is checked on row masks as in
-        ``triangular_certificate``, and the peel is replayed on H's columns.
+        presented order (the subsets taken in permutation order) is checked
+        by ``_triangular_pivots``, and the peel is replayed on H's columns.
         """
         r = self.size
         rp, cp = self.perm_pair.row_perm, self.perm_pair.col_perm
         if not (len(self.col_subset) == len(self.peel_order) == len(rp) == len(cp) == r):
             return False
-        if not all(1 <= i <= H.m for i in self.row_subset):
+        try:
+            _, _, active = self._triangular_order(H)
+        except StencilError:
             return False
-        if not all(1 <= j <= H.n for j in self.col_subset):
-            return False
-        # The k-th row and column of the triangular pattern; a repeated row
-        # or column stars an earlier pivot and fails the check.
-        pivots = 0
-        for a, b in zip(rp, cp):
-            mask = H.rows[self.row_subset[a - 1] - 1]
-            j = self.col_subset[b - 1] - 1
-            if not mask >> j & 1 or mask & pivots:
-                return False
-            pivots |= 1 << j
-        # Replay the peeling; ``pivots`` now holds the columns still active.
-        # r steps that each clear one active column leave none, and a row
-        # peeled twice has no active star left.
+        # Replay the peeling on the columns still active: r steps that each
+        # clear one leave none, and a row peeled twice has no active star left.
         for pi, pj in self.peel_order:
             if not (1 <= pi <= r and 1 <= pj <= r):
                 return False
             bit = 1 << (self.col_subset[pj - 1] - 1)
-            if H.rows[self.row_subset[pi - 1] - 1] & pivots != bit:
+            if H.rows[self.row_subset[pi - 1] - 1] & active != bit:
                 return False
-            pivots ^= bit
+            active ^= bit
         return True
+
+    def _triangular_order(self, H: Stencil) -> tuple[list[int], list[int], int]:
+        """The presented order, the subsets taken in permutation order, and
+        its pivot mask; raises as ``_triangular_pivots`` does."""
+        rows = [self.row_subset[a - 1] for a in self.perm_pair.row_perm]
+        cols = [self.col_subset[b - 1] for b in self.perm_pair.col_perm]
+        return rows, cols, _triangular_pivots(H, rows, cols)
 
     @staticmethod
     def triangular(rows, cols) -> "DiagonalCertificate":
@@ -215,14 +212,12 @@ def triangularize(M: Stencil) -> PermutationPair | None:
     return cert.perm_pair if ok else None
 
 
-def triangular_certificate(H: Stencil, rows, cols) -> DiagonalCertificate:
-    """Certificate for the sub-stencil of ``H`` on the 1-based ``rows`` and
-    ``cols``, listed so that it is upper triangular with a star diagonal.
-
-    Checks in one pass that every index is in range, that ``rows[i]`` has a
-    star at ``cols[i]`` and none on ``cols[:i]`` (so a repeated index fails
-    too), and raises ``StencilError`` otherwise.
-    """
+def _triangular_pivots(H: Stencil, rows, cols) -> int:
+    """Mask of ``cols``, checking in one pass that the sub-stencil of ``H`` on
+    the 1-based ``rows`` and ``cols``, in that order, is upper triangular with
+    a star diagonal: every index is in range, and ``rows[i]`` has a star at
+    ``cols[i]`` and none on ``cols[:i]`` (so a repeated index fails too).
+    Raises ``SubsetError`` or ``StencilError`` otherwise."""
     if len(rows) != len(cols):
         raise StencilError(f"{len(rows)} rows but {len(cols)} columns")
     pivots = 0
@@ -233,6 +228,13 @@ def triangular_certificate(H: Stencil, rows, cols) -> DiagonalCertificate:
         if not mask >> (j - 1) & 1 or mask & pivots:
             raise StencilError(f"row {i} with pivot column {j} breaks the triangular order")
         pivots |= 1 << (j - 1)
+    return pivots
+
+
+def triangular_certificate(H: Stencil, rows, cols) -> DiagonalCertificate:
+    """Certificate for the sub-stencil of ``H`` on the 1-based ``rows`` and
+    ``cols``, listed as ``_triangular_pivots`` checks, which raises otherwise."""
+    _triangular_pivots(H, rows, cols)
     return DiagonalCertificate.triangular(rows, cols)
 
 
@@ -347,10 +349,11 @@ def visible_rank_exact(
 ) -> VrankResult:
     """Exact visible rank by branch-and-bound over triangular row sequences.
 
-    The incumbent starts from the greedy bound, or from ``initial`` (a
-    known-valid certificate) when that is larger.  ``upper`` is an optional
-    known upper bound on vrk(H), such as the GF(p) rank of a witness of H; an
-    incumbent above it raises ``StencilError``.  No search runs when the
+    The incumbent starts from the greedy bound, or from ``initial`` when that
+    certificate is larger; it is then replayed with ``verify``, and one that
+    fails raises ``StencilError``.  ``upper`` is an optional known upper
+    bound on vrk(H), such as the GF(p) rank of a witness of H; an incumbent
+    above it raises ``StencilError``.  No search runs when the
     incumbent already meets ``upper`` or the matching bound (provenance
     ``witness`` or ``matching``).  If the search exhausts its node or time
     budget the result degrades to a sound bracket (``exact=False``) holding
@@ -360,6 +363,8 @@ def visible_rank_exact(
     """
     best, best_cert = greedy_lower_bound(H)
     if initial is not None and initial.size > best:
+        if not initial.verify(H):
+            raise StencilError(f"the initial certificate of size {initial.size} does not verify")
         best, best_cert = initial.size, initial
     _check_upper(best, upper)
     if best == upper:
@@ -615,19 +620,12 @@ def visibly_independent(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True iff the given 1-based columns contain a visibly full rank square
-    sub-stencil of matching size."""
-    cols = list(cols)
-    if len(set(cols)) != len(cols):
-        raise SubsetError("duplicate column")
-    for j in cols:
-        if not 1 <= j <= H.n:
-            raise SubsetError(f"column {j} out of range")
-    if not cols:
-        return True
+    sub-stencil of matching size (``substencil`` rejects a repeated or
+    out-of-range column)."""
     sub = substencil(H, range(1, H.m + 1), cols)
     res = visible_rank_exact(sub, node_budget=node_budget)
-    if res.lower_bound == len(cols):
+    if res.lower_bound == sub.n:
         return True
-    if res.exact or res.upper_bound < len(cols):
+    if res.exact or res.upper_bound < sub.n:
         return False
     raise StencilError("budget exhausted before visible independence was decided")

@@ -92,11 +92,11 @@ def gen_lrc(n: int, ell: int, seed: int) -> Stencil:
     masks = []
     for i in range(n):
         rng = _rng(seed, Family.LRC, i + 1)
-        others = [j for j in range(n) if j != i]
         picks = rng.choice(n - 1, size=ell, replace=False)
         mask = 1 << i
-        for p in picks:
-            mask |= 1 << others[int(p)]
+        # Pick p of the n - 1 columns other than i is column p + (p >= i).
+        for p in picks.tolist():
+            mask |= 1 << (p + (p >= i))
         masks.append(mask)
     return Stencil.from_rows(masks, n)
 

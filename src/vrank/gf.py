@@ -119,10 +119,6 @@ class MinrankResult:
     exhaustive: bool
 
 
-#: Matrices evaluated between two reads of the clock under a time budget.
-CLOCK_STRIDE = 256
-
-
 def free_stars(H: Stencil) -> list[tuple[int, int]]:
     """The 1-based stars of H, in row-major order, that do not join two
     components of the bipartite row/column star graph formed by the stars
@@ -167,7 +163,8 @@ def minrank_bruteforce(
     limited to ``budget`` nodes.  The budget counts matrices evaluated;
     exhaustion degrades to best-found (``exhaustive=False``).  So does
     ``time_budget`` (seconds), whose deadline bounds the floor search too and
-    is read every ``CLOCK_STRIDE`` matrices.
+    is read after every matrix.  The result is exhaustive iff the best rank
+    met the floor or all (p-1)^|free| matrices were evaluated.
     """
     _check_prime(p)
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -184,7 +181,6 @@ def minrank_bruteforce(
     best_val = H.m + 1
     best_grid = grid
     evaluated = 0
-    exhausted_all = False
     top = p - 1
     while True:
         r = gf_rank_rows([row.copy() for row in grid], p)
@@ -193,7 +189,6 @@ def minrank_bruteforce(
             best_val = r
             best_grid = [row.copy() for row in grid]
             if r <= floor_rank:
-                exhausted_all = True  # cannot go lower; enumeration is moot
                 break
         # advance the odometer over the free stars
         for row, j in reversed(free):
@@ -202,18 +197,12 @@ def minrank_bruteforce(
                 break
             row[j] = 1
         else:
-            exhausted_all = True
             break
-        if evaluated >= budget:
-            break
-        if (
-            deadline is not None
-            and evaluated % CLOCK_STRIDE == 0
-            and time.monotonic() > deadline
-        ):
+        if evaluated >= budget or (deadline is not None and time.monotonic() > deadline):
             break
     witness = WitnessMatrix(p, tuple(tuple(row) for row in best_grid), H)
-    return MinrankResult(p, best_val, witness, exhausted_all)
+    exhaustive = best_val <= floor_rank or evaluated == top ** len(free)
+    return MinrankResult(p, best_val, witness, exhaustive)
 
 
 def low_rank_witness(H: Stencil, p: int) -> WitnessMatrix:

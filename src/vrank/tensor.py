@@ -21,7 +21,6 @@ from .engine import (
     DiagonalCertificate,
     VrankResult,
     is_visibly_full_rank,
-    triangular_certificate,
     visible_rank_exact,
 )
 from .families import row_groups
@@ -113,16 +112,9 @@ def tensor_certificate(
     diagonal lies below it in the first factor or, on the first factor's
     diagonal, below it in the second.
     """
-    t1, t2 = (
-        triangular_certificate(
-            H,
-            [c.row_subset[p - 1] for p in c.perm_pair.row_perm],
-            [c.col_subset[p - 1] for p in c.perm_pair.col_perm],
-        )
-        for H, c in ((H1, c1), (H2, c2))
-    )
-    rows = [(a - 1) * H2.m + b for a in t1.row_subset for b in t2.row_subset]
-    cols = [(c - 1) * H2.n + d for c in t1.col_subset for d in t2.col_subset]
+    (r1, k1, _), (r2, k2, _) = c1._triangular_order(H1), c2._triangular_order(H2)
+    rows = [(a - 1) * H2.m + b for a in r1 for b in r2]
+    cols = [(c - 1) * H2.n + d for c in k1 for d in k2]
     return DiagonalCertificate.triangular(rows, cols)
 
 

@@ -185,6 +185,15 @@ class TestTensor:
             "best": 0.0,
         }
 
+    @pytest.mark.parametrize("name", ["out.stn", "out.json"])
+    def test_write_power(self, capsys, d3_path, tmp_path, name):
+        out_path = str(tmp_path / name)
+        code, out = run(capsys, "tensor", d3_path, "--power", "2", "-o", out_path)
+        assert code == 0 and json.loads(out) == {"written": out_path, "rows": 9, "cols": 9}
+        code, out = run(capsys, "vrank", out_path)
+        doc = json.loads(out)
+        assert code == 0 and doc["lower"] == doc["upper"] == 4
+
     def test_levels_carry_upper(self, capsys, d3_path):
         # D3: vrk 2, and its GF(3) witness has rank 2.
         code, out = run(capsys, "tensor", d3_path, "--power", "2")
@@ -357,10 +366,11 @@ class TestExperiment:
          {"family": "lrc", "n": [8], "param": [2], "csv": 5},
          {"family": "lrc", "n": [8], "param": [2], "field": 4},
          {"family": "lrc", "n": [8], "param": [2], "field": 65537},
-         {"family": "lrc", "n": [8], "param": [2], "budget_ms": -5}],
+         {"family": "lrc", "n": [8], "param": [2], "budget_ms": -5},
+         {"family": "lrc", "param": [2]}],
         ids=["empty-object", "not-an-object", "unknown-family", "n-not-a-list", "empty-sweep",
              "non-integer-field", "non-number-delta", "non-string-csv", "non-prime-field",
-             "prime-field-over-limit", "negative-budget"],
+             "prime-field-over-limit", "negative-budget", "no-n"],
     )
     def test_malformed_spec_exit_2(self, capsys, tmp_path, doc):
         p = tmp_path / "spec.json"

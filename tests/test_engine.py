@@ -316,6 +316,13 @@ class TestExact:
         assert res.exact and res.upper_provenance == PROV_WITNESS
         assert res.lower_bound == res.upper_bound == 25 and res.certificate.verify(P)
 
+    def test_unverified_initial_raises(self):
+        # vrk 6, so the identity order on all 8 rows and columns is not
+        # triangular; an initial certificate is replayed before it is trusted.
+        H = gen_drgp(8, 2, 0)
+        with pytest.raises(StencilError, match="does not verify"):
+            visible_rank_exact(H, initial=DiagonalCertificate.triangular(range(1, 9), range(1, 9)))
+
     def test_upper_below_incumbent_raises(self):
         with pytest.raises(StencilError):
             visible_rank_exact(I5, upper=4)
@@ -484,6 +491,14 @@ class TestVisiblyIndependent:
             visibly_independent(D3, [1, 1])
         with pytest.raises(StencilError):
             visibly_independent(D3, [0])
+
+    def test_budget_exhausted_raises(self):
+        # Columns of a size-6 certificate of gen_drgp(8, 2, 0): the greedy
+        # finds 5 of them and one node cannot settle the sixth.
+        H, cols = gen_drgp(8, 2, 0), [1, 2, 3, 6, 7, 8]
+        assert visibly_independent(H, iter(cols))
+        with pytest.raises(StencilError, match="budget exhausted"):
+            visibly_independent(H, cols, node_budget=1)
 
 
 class TestSerialization:

@@ -103,6 +103,13 @@ class TestParams:
             FamilyParams(Family.TENSOR_GAP, 8, 1)
 
 
+    def test_n_minimum(self):
+        with pytest.raises(FamilyParamError, match="positive"):
+            FamilyParams(Family.LRC, 0, 1)
+        with pytest.raises(FamilyParamError, match="at least 2"):
+            FamilyParams(Family.DRGP, 1, 2)
+
+
 class TestDeterminism:
     @given(st.integers(0, 2**60))
     @settings(max_examples=10, deadline=None)
@@ -154,6 +161,17 @@ class TestLRC:
         for i in range(8):
             assert H.rows[i] >> i & 1
             assert H.rows[i].bit_count() == 4
+
+    @pytest.mark.parametrize(
+        "rows, n, clause, where",
+        [([0b11, 0b11, 0b11], 2, "square n x n", (3, 2)),
+         ([0b011, 0b001, 0b110], 3, "star on the diagonal", (2, 2)),
+         ([0b011, 0b111, 0b110], 3, "at most ell other stars per row", (2,))],
+        ids=["not-square", "no-diagonal-star", "too-many-stars"],
+    )
+    def test_clauses_flagged(self, rows, n, clause, where):
+        report = validate_family(Stencil.from_rows(rows, n), FamilyParams(Family.LRC, n, 1))
+        assert (report.ok, report.clause, report.where) == (False, clause, where)
 
     def test_greedy_guarantee(self):
         for seed in range(10):

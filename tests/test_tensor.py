@@ -68,6 +68,12 @@ class TestPower:
     def test_power_one(self):
         assert tensor_power(D3, 1) == D3
 
+    def test_power_checks(self):
+        with pytest.raises(StencilError, match="k >= 1"):
+            tensor_power(D3, 0)
+        with pytest.raises(TensorSizeError):
+            tensor_power(D3, 3, max_entries=9**3 - 1)
+
     def test_identity_cubed(self):
         P = tensor_power(I2, 3)
         assert P.rows == tuple(1 << i for i in range(8))
