@@ -220,7 +220,11 @@ def cmd_tensor(args) -> int:
     est = tensor.capacity_lower_bound(
         H, args.power, time_budget=args.budget_ms / 1000.0
     )
-    print(json.dumps(est.to_json()))
+    try:
+        report = json.dumps(est.to_json())
+    except ValueError as exc:  # a level's bound past the int-to-str digit limit
+        return _usage_error(f"the report cannot be printed: {exc}")
+    print(report)
     return 0
 
 

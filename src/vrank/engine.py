@@ -62,11 +62,10 @@ class DiagonalCertificate:
         """True iff the permuted sub-stencil is upper triangular with a star
         diagonal and ``peel_order`` peels it.  Linear in the size: the
         presented order (the subsets taken in permutation order) is checked
-        by ``_triangular_pivots``, and the peel is replayed on H's columns.
+        by ``_triangular_order``, and the peel is replayed on H's columns.
         """
         r = self.size
-        rp, cp = self.perm_pair.row_perm, self.perm_pair.col_perm
-        if not (len(self.col_subset) == len(self.peel_order) == len(rp) == len(cp) == r):
+        if len(self.peel_order) != r:
             return False
         try:
             _, _, active = self._triangular_order(H)
@@ -85,9 +84,13 @@ class DiagonalCertificate:
 
     def _triangular_order(self, H: Stencil) -> tuple[list[int], list[int], int]:
         """The presented order, the subsets taken in permutation order, and
-        its pivot mask; raises as ``_triangular_pivots`` does."""
-        rows = [self.row_subset[a - 1] for a in self.perm_pair.row_perm]
-        cols = [self.col_subset[b - 1] for b in self.perm_pair.col_perm]
+        its pivot mask; raises ``StencilError`` when a permutation and its
+        subset differ in length, and otherwise as ``_triangular_pivots`` does."""
+        rp, cp = self.perm_pair.row_perm, self.perm_pair.col_perm
+        if len(rp) != len(self.row_subset) or len(cp) != len(self.col_subset):
+            raise StencilError("a permutation and its subset differ in length")
+        rows = [self.row_subset[a - 1] for a in rp]
+        cols = [self.col_subset[b - 1] for b in cp]
         return rows, cols, _triangular_pivots(H, rows, cols)
 
     @staticmethod

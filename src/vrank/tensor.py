@@ -8,6 +8,7 @@ bijection would do; this one makes implicit certificate arithmetic mechanical.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -58,10 +59,16 @@ def tensor_product(H1: Stencil, H2: Stencil, max_entries: int = DEFAULT_MAX_ENTR
     return Stencil(H1.m * H2.m, H1.n * H2.n, tuple(masks), rl, cl)
 
 
+def _fits(H: Stencil, k: int, max_entries: int) -> bool:
+    """Whether H^(xk) may be built: level 1 always, a level k >= 2 when its
+    (m*n)^k entries are within ``max_entries``."""
+    return k == 1 or (H.m * H.n) ** k <= max_entries
+
+
 def _check_power(H: Stencil, k: int, max_entries: int) -> None:
     if k < 1:
         raise StencilError("tensor power requires k >= 1")
-    if (H.m * H.n) ** k > max_entries:
+    if not _fits(H, k, max_entries):
         raise TensorSizeError(
             f"H^(x{k}) has {(H.m * H.n) ** k} entries, over the limit of {max_entries}"
         )
@@ -200,7 +207,7 @@ def _witness_rank(H: Stencil, k_max: int, max_entries: int) -> int | None:
     None unless a level k >= 2 will be materialised: a stencil searched only
     at level 1 does not pay for the eliminations.
     """
-    if k_max < 2 or (H.m * H.n) ** 2 > max_entries:
+    if k_max < 2 or not _fits(H, 2, max_entries):
         return None
     ranks: list[int] = []
     p = max(H.n, 2)
@@ -223,12 +230,12 @@ def _power_searches(
     time_budget: float | None,
     max_entries: int,
 ) -> Iterator[VrankResult]:
-    """Search H^(xk) for k = 1, ..., k_max while the power fits in
-    ``max_entries`` (level 1 always runs).  Level k is seeded with level
+    """Search H^(xk) for k = 1, ..., k_max while ``_fits`` admits the power
+    (level 1 always).  Level k is seeded with level
     k-1's certificate tensored with level 1's and, when the witness rank
     ``w`` is known, given the upper bound w^k, which closes it without a
-    search once the seed meets it.  All levels share ``time_budget`` (each
-    later level gets at least 0.1 s)."""
+    search once the seed meets it.  All levels share the one deadline
+    ``time_budget`` sets."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     res1 = res = visible_rank_exact(
         H, node_budget=node_budget, time_budget=time_budget, upper=w
@@ -236,9 +243,9 @@ def _power_searches(
     yield res1
     Hk = H
     for k in range(2, k_max + 1):
-        if Hk.m * Hk.n * H.m * H.n > max_entries:
+        if not _fits(H, k, max_entries):
             return
-        remaining = None if deadline is None else max(0.1, deadline - time.monotonic())
+        remaining = None if deadline is None else deadline - time.monotonic()
         seed = tensor_certificate(Hk, res.certificate, H, res1.certificate)
         Hk = tensor_product(Hk, H, max_entries=max_entries)
         res = visible_rank_exact(
@@ -285,8 +292,20 @@ def capacity_lower_bound(
             if identity:
                 lower[k] = max(lower[k], H.n)
     per_level = {k: (lb, lb == upper[k]) for k, lb in lower.items()}
-    best = max(v ** (1.0 / k) for k, v in lower.items())
+    best = max(_root(v, k) for k, v in lower.items())
     return CapacityEstimate(per_level, best, upper)
+
+
+def _root(v: int, k: int) -> float:
+    """v^(1/k) for an integer v >= 0: the float power while v converts to a
+    float, and past that the integer root when v is a k-th power, else
+    2^(log2(v)/k); ``math.log2`` reads a big integer without converting it."""
+    try:
+        return v ** (1.0 / k)
+    except OverflowError:
+        root = 2 ** (math.log2(v) / k)
+        a = round(root)
+        return float(a) if a**k == v else root
 
 
 def tensor_power_vrank(
@@ -299,8 +318,7 @@ def tensor_power_vrank(
     """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop,
     which searches every power below it, shares ``time_budget`` with them and
     bounds each level by the witness rank of H."""
-    if k != 1:
-        _check_power(H, k, max_entries)
+    _check_power(H, k, max_entries)
     w = _witness_rank(H, k, max_entries)
     searches = _power_searches(H, k, w, node_budget, time_budget, max_entries)
     return next(islice(searches, k - 1, None))

@@ -194,6 +194,22 @@ class TestTensor:
         doc = json.loads(out)
         assert code == 0 and doc["lower"] == doc["upper"] == 4
 
+    def test_write_power_one_past_the_entry_limit(self, capsys, tmp_path):
+        # 512 x 256 = 131,072 entries, over the limit that binds powers k >= 2.
+        big, out_path = str(tmp_path / "big.json"), str(tmp_path / "out.json")
+        run(capsys, "gen", "--family", "drgp", "--n", "256", "--t", "2", "--seed", "0", "-o", big)
+        code, out = run(capsys, "tensor", big, "--power", "1", "-o", out_path)
+        assert code == 0 and json.loads(out) == {"written": out_path, "rows": 512, "cols": 256}
+
+    def test_high_powers(self, capsys, tmp_path):
+        # I3's level k is 3^k: past the float range at k = 700, and past the
+        # 4,300-digit int-to-str limit at k = 9100.
+        p = tmp_path / "i3.stn"
+        p.write_text("stencil 3 3\n*00\n0*0\n00*\n")
+        code, out = run(capsys, "tensor", str(p), "--power", "700")
+        assert code == 0 and json.loads(out)["per_level"]["700"]["lower"] == 3**700
+        assert_input_error(capsys, "tensor", str(p), "--power", "9100")
+
     def test_levels_carry_upper(self, capsys, d3_path):
         # D3: vrk 2, and its GF(3) witness has rank 2.
         code, out = run(capsys, "tensor", d3_path, "--power", "2")

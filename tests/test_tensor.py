@@ -28,6 +28,7 @@ from vrank.tensor import (
 )
 
 I2 = Stencil.from_rows([1, 2], 2)
+I3 = Stencil.from_rows([1, 2, 4], 3)
 D2 = Stencil.from_rows([0b10, 0b01], 2)
 D3 = Stencil.from_rows([0b110, 0b101, 0b011], 3)
 UNIT = Stencil.from_rows([1], 1)
@@ -67,6 +68,11 @@ class TestProduct:
 class TestPower:
     def test_power_one(self):
         assert tensor_power(D3, 1) == D3
+
+    def test_power_one_past_the_entry_limit(self):
+        # 512 x 256 = 131,072 entries: level 1 is H itself at any size.
+        H = gen_drgp(256, 2, 0)
+        assert tensor_power(H, 1) == H
 
     def test_power_checks(self):
         with pytest.raises(StencilError, match="k >= 1"):
@@ -141,6 +147,13 @@ class TestTensorCertificate:
         for args in ((H, bad, H, good), (H, good, H, bad)):
             with pytest.raises(StencilError):
                 tensor_certificate(*args)
+
+    def test_rejects_permutation_longer_than_subset(self):
+        good = visible_rank_exact(D3).certificate
+        bad = DiagonalCertificate((1,), (2, 3), PermutationPair((1, 2), (1, 2)), ((1, 1),))
+        with pytest.raises(StencilError):
+            tensor_certificate(D3, bad, D3, good)
+        assert not bad.verify(D3)
 
     def test_rejects_out_of_range_factor(self):
         good = visible_rank_exact(D3).certificate
@@ -277,6 +290,39 @@ class TestCapacity:
     def test_all_zero(self):
         est = capacity_lower_bound(Stencil.from_rows([0, 0], 2), 3)
         assert est.per_level == {1: (0, True), 2: (0, True), 3: (0, True)}
+
+    def test_levels_past_float_range(self):
+        # 3^k is past the float range from k = 647 on.  Levels within it keep
+        # their float roots, of which level 91's is one ulp above 3.
+        est = capacity_lower_bound(I3, 700)
+        assert est.per_level[700] == (3**700, True)
+        assert est.best == max((3**k) ** (1.0 / k) for k in range(1, 647)) == 3.0000000000000004
+        assert tensor._root(3**700, 700) == 3.0
+        assert tensor._root(3**700 + 1, 700) == pytest.approx(3.0)
+
+    def test_levels_share_the_callers_deadline(self, monkeypatch):
+        # A clock that moves 20 ms at each reading puts level 2 past the
+        # caller's 10 ms deadline; no level's budget may run beyond it.
+        class Clock:
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 0.02
+                return self.now
+
+        clock, ends = Clock(), []
+        search = tensor.visible_rank_exact
+
+        def recording(H, **kwargs):
+            ends.append(clock.now + kwargs["time_budget"])
+            return search(H, **kwargs)
+
+        monkeypatch.setattr(tensor, "time", clock)
+        monkeypatch.setattr(tensor, "visible_rank_exact", recording)
+        est = capacity_lower_bound(gen_drgp(6, 2, 0), 2, time_budget=0.01)
+        assert len(ends) == 2 and max(ends) <= 0.02 + 0.01 + 1e-9
+        # Level 2 stops at once and keeps its tensored seed, 5^2.
+        assert est.per_level[2] == (25, False) and 25 < est.upper[2] <= 36
 
     def test_json_keyed_by_level(self):
         est = capacity_lower_bound(I2, 2)
