@@ -265,6 +265,15 @@ def greedy_lower_bound(H: Stencil) -> tuple[int, DiagonalCertificate]:
     return len(pairs), _certificate_from_sequence(H, pairs)
 
 
+def _packed(masks: list[int], n: int) -> np.ndarray:
+    """The n-column bitmasks ``masks`` as rows of little-endian 64-bit words,
+    ceil(n/64) of them per row (at least one); view it as ``np.uint8`` for
+    the bytes."""
+    words = max(1, -(-n // 64))
+    data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(data, "<u8").reshape(len(masks), words)
+
+
 #: The most subsets ``zero_rectangle_bound`` counts over all its levels.
 _ZRECT_SUBSETS = 2_000_000
 #: Prefixes per matrix product in ``zero_rectangle_bound``.
@@ -287,21 +296,16 @@ def zero_rectangle_bound(H: Stencil, a_max: int = 3) -> int:
     m, n = H.m, H.n
     if m == 0 or n == 0:
         return 0
-    width = (n + 7) // 8
     full = (1 << n) - 1
-
-    def packed(masks) -> np.ndarray:
-        data = b"".join(mask.to_bytes(width, "little") for mask in masks)
-        return np.frombuffer(data, np.uint8).reshape(-1, width)
 
     def unpacked(rows: np.ndarray) -> np.ndarray:
         # float32 sums of 0/1 products are exact while n < 2**24.
         return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(np.float32)
 
-    zeros = packed(full & ~mask for mask in H.rows)
+    zeros = _packed([full & ~mask for mask in H.rows], n).view(np.uint8)
     zeros_t = unpacked(zeros).T
     cols = np.arange(m)
-    prefixes, last = packed([full]), np.array([-1])
+    prefixes, last = _packed([full], n).view(np.uint8), np.array([-1])
     best = min(m, n)
     spent = m
     a = 1
@@ -404,8 +408,9 @@ _LONG_CHAIN = 6
 _LONG_CHAIN_DEPTH = 2
 _LONG_CHAIN_AFTER = 1000
 _SHORT_CHAIN = 2
-#: Candidate overlaps one chain check may compute before it gives up and
-#: answers "may extend".
+#: Work one chain check may spend before it gives up and answers "may
+#: extend": overlaps computed (per 64-bit word in ``_chain_exists``) and
+#: member indices sorted.  It also bounds the arrays of the walk.
 _CHAIN_WORK = 300_000
 
 
@@ -424,9 +429,11 @@ def _may_extend(
     columns of U, so it needs ``need`` live rows and |U| >= need.  Its first
     s rows have no star on the need - s later pivots, so their zero sets in
     U share at least need - s columns: a zero-rectangle bound on the
-    residual stencil, checked by ``_chain_exists`` for every s <= a when
-    need >= 3.  Inside U a row's zero set is U & ~fresh, of size |U| - c,
-    because mask & U == fresh.
+    residual stencil, checked for every s <= a when need >= 3.  Inside U a
+    row's zero set is U & ~fresh, of size |U| - c, because mask & U == fresh,
+    and only rows with |U| - c >= need - a can be links.  For a = 2 a pair
+    test over Python ints answers; longer chains go to ``_chain_exists``
+    with the zero sets packed from the fresh masks.
     """
     size = union.bit_count()
     if len(live) < need or size < need:
@@ -434,65 +441,98 @@ def _may_extend(
     if need < 3:
         return True
     a = min(a, need)
-    links = [(size - c, idx, union & ~fresh) for c, idx, _, fresh in live if size - c >= need - a]
-    return _chain_exists(links, need, a, deadline)
-
-
-def _chain_exists(
-    links: list[tuple[int, int, int]], need: int, a: int, deadline: float | None = None
-) -> bool:
-    """True when some a distinct zero sets z_1..z_a of ``links``, a list of
-    (|z|, key, z) with distinct keys, have |z_1 & ... & z_s| >= need - s for
-    every s <= a.
-
-    A chain of length a starts with one of every shorter length, and a short
-    search costs far less, so lengths 3, 4, ..., a are sought in turn (a = 2
-    directly).  Each search is depth-first over ordered chains and carries every
-    candidate's overlap with the running intersection I.  A candidate that
-    cannot be the next link may still be a later one, whose threshold is
-    lower, so only candidates with |I & z| < need - b are dropped, b being
-    the length sought.  Whether a chain continues depends only on the set of
-    its links, so failed sets are memoised.  After ``_CHAIN_WORK`` candidate
-    overlaps in all, or past ``deadline``, the answer is True, which is
-    sound for a prune.
-    """
-    if a <= 1:
-        return a <= 0 or any(size >= need - 1 for size, _, _ in links)
+    if a > 2:
+        fresh = [f for c, _, _, f in live if size - c >= need - a]
+        words = _packed(fresh + [union], union.bit_length())
+        return _chain_exists(words[-1] & ~words[:-1], need, a, deadline)
+    zeros = [union & ~f for c, _, _, f in live if size - c >= need - 2]
     budget = _CHAIN_WORK
-
-    def extend(chosen: int, inter: int, s: int, cands: list[tuple[int, int, int]]) -> bool:
-        # Try each candidate for link s + 1; when that is the last link but
-        # one, any candidate left for the last link will do.
-        nonlocal budget
-        for overlap, key, z in cands:
-            if overlap < need - s - 1:
-                continue
-            members = chosen | 1 << key
-            if members in failed:
-                continue
-            budget -= len(cands)
+    for z in zeros:
+        if z.bit_count() >= need - 1:
+            budget -= len(zeros)
             if budget < 0 or (deadline is not None and time.monotonic() > deadline):
                 return True
-            meet = inter & z
-            if s + 2 == b:
-                if any(k != key and (meet & w).bit_count() >= need - b for _, k, w in cands):
-                    return True
-            else:
-                nxt = [
-                    (o, k, w)
-                    for _, k, w in cands
-                    if k != key and (o := (meet & w).bit_count()) >= need - b
-                ]
-                if len(nxt) >= b - s - 1 and extend(members, meet, s + 1, nxt):
-                    return True
-            failed.add(members)
-        return False
+            # z meets itself in |z| >= need - 2 columns, so a second link is
+            # a second hit.
+            if sum((z & w).bit_count() >= need - 2 for w in zeros) > 1:
+                return True
+    return False
 
-    for b in range(min(a, 3), a + 1):
-        failed: set[int] = set()
-        if not extend(0, -1, 0, links):
+
+def _chain_exists(zeros: np.ndarray, need: int, a: int, deadline: float | None = None) -> bool:
+    """True when some a distinct rows z_1..z_a of ``zeros``, zero sets packed
+    as ``_packed`` packs them, have |z_1 & ... & z_s| >= need - s for every
+    s <= a.
+
+    A greedy dive first: from the largest zero set, take at each step the
+    link meeting the running intersection in the most columns; reaching a
+    links answers True.  Then a walk over sets of links: level 1 holds the
+    links with |z| >= need - 1, and level s + 1 the distinct sets S + {y},
+    y not in S, whose intersection I_S & z_y keeps need - s - 1 columns.
+    Whether a set continues a chain depends only on its intersection, so
+    each level is built once, as sorted member rows with their
+    intersections, and deduplicated; an empty level answers False, and at
+    level a - 1 any passing pair answers True.  Past ``_CHAIN_WORK`` (each
+    level costs frontier x links x words, plus the member indices it sorts)
+    or past ``deadline``, read once per level, the answer is True, which is
+    sound for a prune.
+    """
+    k, words = zeros.shape
+    if k < a:
+        return False
+    if a <= 0:
+        return True
+    work = _CHAIN_WORK - a * k * words
+    if work < 0:
+        return True
+    counts = sizes = np.bitwise_count(zeros).sum(axis=1, dtype=np.int64)
+    inter = ~np.zeros(words, np.uint64)
+    used = np.zeros(k, bool)
+    for s in range(1, a + 1):
+        y = counts.argmax()
+        if counts[y] < need - s:
+            break
+        if s == a:
+            return True
+        used[y] = True
+        inter = inter & zeros[y]
+        counts = np.bitwise_count(inter & zeros).sum(axis=1, dtype=np.int64)
+        counts[used] = -1
+    members = np.flatnonzero(sizes >= need - 1)[:, None]
+    inter = zeros[members[:, 0]]
+    for s in range(1, a):
+        f = len(members)
+        if not f:
             return False
-    return True
+        work -= f * k * words
+        if work < 0 or (deadline is not None and time.monotonic() > deadline):
+            return True
+        counts = np.bitwise_count(inter[:, None, :] & zeros)
+        counts = counts.sum(axis=2, dtype=np.int64) if words > 1 else counts[:, :, 0]
+        passing = counts >= need - s - 1
+        passing[np.arange(f)[:, None], members] = False
+        if s == a - 1:
+            return bool(passing.any())
+        rows, ys = np.nonzero(passing)
+        work -= len(rows) * (s + 1)
+        if work < 0:
+            return True
+        grown = np.sort(np.concatenate([members[rows], ys[:, None]], axis=1), axis=1)
+        first = _first_of_each(grown, k)
+        members, inter = grown[first], inter[rows[first]] & zeros[ys[first]]
+    return len(members) > 0
+
+
+def _first_of_each(rows: np.ndarray, k: int) -> np.ndarray:
+    """Index of the first of each distinct row of ``rows``, entries in [0, k):
+    one int64 key per row in base k, its prefix replaced by its rank among
+    the prefixes whenever the next digit would overflow it."""
+    key, span = np.zeros(len(rows), np.int64), 1
+    for digit in rows.T:
+        if span * k > 2**62:
+            key, span = np.unique(key, return_inverse=True)[1], len(rows)
+        key, span = key * k + digit, span * k
+    return np.unique(key, return_index=True)[1]
 
 
 def _urm_search(
@@ -512,11 +552,13 @@ def _urm_search(
 
     A node makes one pass over its candidate rows, building each live row's
     fresh columns, their count c and the union U of them, which is all the
-    ``_may_extend`` prune reads (chains of length ``_LONG_CHAIN`` at shallow
-    nodes of a large search, ``_SHORT_CHAIN`` elsewhere).  A node the prune
-    keeps picks a forced move in its own candidate order, and passes that
-    order on; otherwise one sort by (c, index) orders its children and their
-    candidates.
+    ``_may_extend`` prune reads: chains of length ``_LONG_CHAIN`` at shallow
+    nodes of a large search, sought by the greedy dive and the level walk of
+    ``_chain_exists`` over zero sets packed from the fresh masks, and pairs
+    (``_SHORT_CHAIN``) elsewhere, tested on the masks themselves.  A node
+    the prune keeps picks a forced move in its own candidate order, and
+    passes that order on; otherwise one sort by (c, index) orders its
+    children and their candidates.
 
     The value bitmasks ``row_vals`` and ``col_vals`` (all zero by default)
     keep the rows, and the pivot columns, pairwise disjoint in value, as

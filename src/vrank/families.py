@@ -257,40 +257,3 @@ def validate_family(H: Stencil, params: FamilyParams) -> ValidationReport:
                     False, "at most q+1 stars per row", (H.row_labels[idx],)
                 )
     return ValidationReport(True)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    found: bool
-    rows: tuple[int, ...] | None
-    support_size: int | None
-    trials: int
-
-
-def lcc_zero_rectangle_probe(
-    H: Stencil, s: int, k: int, trials: int, seed: int
-) -> ProbeReport:
-    """Monte Carlo search for s-k rows whose union of supports has size <= s.
-
-    Such a subset witnesses an (s-k) x (n-s) all-zero sub-stencil, capping
-    vrk(H) below n-k.  Reports the first hit, or not-found after ``trials``.
-    """
-    if not s > k >= 1:
-        raise FamilyParamError("probe requires s > k >= 1")
-    size = s - k
-    if size > H.m:
-        return ProbeReport(False, None, None, 0)
-    rng = np.random.default_rng([seed, 5])
-    for trial in range(trials):
-        picks = rng.choice(H.m, size=size, replace=False)
-        union = 0
-        for p in picks:
-            union |= H.rows[int(p)]
-        if union.bit_count() <= s:
-            return ProbeReport(
-                True,
-                tuple(sorted(int(p) + 1 for p in picks)),
-                union.bit_count(),
-                trial + 1,
-            )
-    return ProbeReport(False, None, None, trials)

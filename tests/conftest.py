@@ -12,16 +12,18 @@ ordered subset, the zero-rectangle bound by listing every a-subset (once
 level by level under a subset budget, once by ``itertools.combinations``),
 and the row-grouped families (DRGP and tensor-gap
 sampling, and the clauses of their validator) by nested loops over every
-(i, j) pair.
+(i, j) pair.  ``lcc_zero_rectangle_probe`` is the Monte Carlo search for a
+small zero rectangle that the LCC structure criterion runs.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 from vrank.engine import DEFAULT_NODE_BUDGET, DiagonalCertificate
-from vrank.families import Family, FamilyParams, ValidationReport, _rng
+from vrank.families import Family, FamilyParamError, FamilyParams, ValidationReport, _rng
 from vrank.gf import gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
 from vrank.stencil import Stencil, StencilError, permute, substencil
@@ -380,6 +382,43 @@ def brute_validate_grouped(H: Stencil, params: FamilyParams) -> ValidationReport
             if mask.bit_count() > params.param + 1:
                 return ValidationReport(False, "at most q+1 stars per row", (H.row_labels[idx],))
     return ValidationReport(True)
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    found: bool
+    rows: tuple[int, ...] | None
+    support_size: int | None
+    trials: int
+
+
+def lcc_zero_rectangle_probe(
+    H: Stencil, s: int, k: int, trials: int, seed: int
+) -> ProbeReport:
+    """Monte Carlo search for s-k rows whose union of supports has size <= s.
+
+    Such a subset witnesses an (s-k) x (n-s) all-zero sub-stencil, capping
+    vrk(H) below n-k.  Reports the first hit, or not-found after ``trials``.
+    """
+    if not s > k >= 1:
+        raise FamilyParamError("probe requires s > k >= 1")
+    size = s - k
+    if size > H.m:
+        return ProbeReport(False, None, None, 0)
+    rng = np.random.default_rng([seed, 5])
+    for trial in range(trials):
+        picks = rng.choice(H.m, size=size, replace=False)
+        union = 0
+        for p in picks:
+            union |= H.rows[int(p)]
+        if union.bit_count() <= s:
+            return ProbeReport(
+                True,
+                tuple(sorted(int(p) + 1 for p in picks)),
+                union.bit_count(),
+                trial + 1,
+            )
+    return ProbeReport(False, None, None, trials)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from tests.conftest import (
     brute_spanoid_rank,
     brute_vrank,
     count_star_diagonals,
+    lcc_zero_rectangle_probe,
     random_stencil,
     rng_for,
 )
@@ -30,7 +31,6 @@ from vrank.families import (
     gen_drgp,
     gen_lcc,
     gen_tensor_gap,
-    lcc_zero_rectangle_probe,
     validate_family,
 )
 from vrank.gf import (

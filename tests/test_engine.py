@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,9 @@ from vrank.engine import (
     PROV_ZERO_RECT,
     DiagonalCertificate,
     _chain_exists,
+    _first_of_each,
+    _may_extend,
+    _packed,
     greedy_lower_bound,
     is_visibly_full_rank,
     triangular_certificate,
@@ -592,8 +596,15 @@ class TestGolden:
         assert distinct_rank_exact(gen_lrc(6, 2, 0), 2).value == 5
 
 
-def chain_links(zeros: list[int]) -> list[tuple[int, int, int]]:
-    return [(z.bit_count(), i, z) for i, z in enumerate(zeros)]
+def chain_links(zeros: list[int], width: int | None = None) -> np.ndarray:
+    """The zero sets packed as ``_chain_exists`` reads them."""
+    return _packed(zeros, width or max((z.bit_length() for z in zeros), default=1))
+
+
+def random_zero_sets(rng, width: int, count: int, density: float) -> list[int]:
+    return [
+        sum(1 << j for j in range(width) if rng.random() < density) for _ in range(count)
+    ]
 
 
 class TestChain:
@@ -607,16 +618,70 @@ class TestChain:
         for _ in range(60):
             width = int(rng.integers(3, 11))
             density = float(rng.choice([0.5, 0.7, 0.85]))
-            zeros = [
-                sum(1 << j for j in range(width) if rng.random() < density)
-                for _ in range(int(rng.integers(0, 9)))
-            ]
+            zeros = random_zero_sets(rng, width, int(rng.integers(0, 9)), density)
             a = int(rng.integers(0, 5))
             need = int(rng.integers(0, width + 3))
             expected = brute_chain(zeros, need, a)
-            assert _chain_exists(chain_links(zeros), need, a) == expected, (zeros, need, a)
+            assert _chain_exists(chain_links(zeros, width), need, a) == expected, (zeros, need, a)
             outcomes.append(expected)
         assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_brute_force_multiword(self, seed):
+        # Zero sets of 65..200 columns, two to four words each, chains up to
+        # 6 long, need down to -2 and fewer links than a: a link already in
+        # the chain still meets it in every column, so it must be barred
+        # even when the threshold is negative.
+        rng = rng_for(100 + seed)
+        outcomes = []
+        for _ in range(30):
+            width = int(rng.integers(65, 201))
+            density = float(rng.choice([0.9, 0.95, 0.99]))
+            zeros = random_zero_sets(rng, width, int(rng.integers(0, 8)), density)
+            a = int(rng.integers(0, 7))
+            need = int(rng.choice([rng.integers(-2, 1), rng.integers(width // 2, width + 3)]))
+            expected = brute_chain(zeros, need, a)
+            assert _chain_exists(chain_links(zeros, width), need, a) == expected, (zeros, need, a)
+            outcomes.append(expected)
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize(
+        "zeros, need, a, expected",
+        [
+            ([], -3, 0, True),
+            ([], 0, 1, False),
+            ([0, 0], -1, 3, False),
+            ([0, 0, 0], -1, 3, True),
+            ([0, 0, 0], 2, 3, False),
+            ([1 << 70] * 6, 1, 6, True),
+            ([1 << 70] * 5, 1, 6, False),
+        ],
+        ids=["a0", "no-links", "fewer-links", "need-negative", "empty-sets", "six", "five"],
+    )
+    def test_edge_cases(self, zeros, need, a, expected):
+        assert brute_chain(zeros, need, a) == expected
+        assert _chain_exists(chain_links(zeros, 80), need, a) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_may_extend_matches_brute_force(self, seed):
+        # The node-level prune on rows given by their fresh columns: the
+        # a = 2 pair test over Python ints and the packed walk for a = 6
+        # both agree with the oracle on the zero sets U & ~fresh.
+        rng = rng_for(200 + seed)
+        for _ in range(40):
+            width = int(rng.integers(3, 80))
+            fresh = random_zero_sets(rng, width, int(rng.integers(1, 8)), 0.15)
+            fresh = [f or 1 for f in fresh]
+            union = 0
+            for f in fresh:
+                union |= f
+            live = [(f.bit_count(), i, f, f) for i, f in enumerate(fresh)]
+            zeros = [union & ~f for f in fresh]
+            need = int(rng.integers(0, union.bit_count() + 2))
+            for a in (2, 6):
+                roomy = len(live) >= need and union.bit_count() >= need
+                expected = roomy and (need < 3 or brute_chain(zeros, need, min(a, need)))
+                assert _may_extend(live, union, need, a, None) == expected, (fresh, need, a)
 
     def test_later_link_kept(self):
         # Thresholds 3, 2, 1: z3 meets z1 and z2 in one column each, too few
@@ -634,6 +699,38 @@ class TestChain:
         assert _chain_exists(links, 4, 3, deadline=time.monotonic() - 1)
         monkeypatch.setattr(engine, "_CHAIN_WORK", 0)
         assert _chain_exists(links, 4, 3)
+
+    def test_work_cap_bounds_the_walk(self):
+        # Link i misses columns 2i and 2i + 1, so any s of the 128 links meet
+        # in 256 - 2s columns: with need = 251 every set of at most five links
+        # continues and none of six finishes, which the small copy below
+        # confirms.  The walk would hold all C(128, 2) pairs against every
+        # link, 33 MB of intersections, and C(128, 3) triples after them;
+        # the work cap answers "may extend" first.
+        def missing_pairs(count: int) -> list[int]:
+            full = (1 << 2 * count) - 1
+            return [full & ~(0b11 << 2 * i) for i in range(count)]
+
+        assert not brute_chain(missing_pairs(7), 14 - 5, 6)
+        assert not _chain_exists(chain_links(missing_pairs(7)), 14 - 5, 6)
+        links = chain_links(missing_pairs(128))
+        tracemalloc.start()
+        try:
+            assert _chain_exists(links, 256 - 5, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("k", [3, 1000, 2**40])
+    def test_first_of_each_matches_unique(self, k):
+        # Past 2**62 / k the base-k key of a row prefix is replaced by its
+        # rank, which the width-6 rows over 2**40 values reach.
+        rng = rng_for(k % 97)
+        rows = rng.integers(0, k, (50, 6))[rng.integers(0, 50, 400)]
+        first = _first_of_each(rows, k)
+        _, expected = np.unique(rows, axis=0, return_index=True)
+        assert sorted(first) == sorted(expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_drgp64_node_count(self, seed):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_validate_grouped, loop_gen_grouped
+from tests.conftest import brute_validate_grouped, lcc_zero_rectangle_probe, loop_gen_grouped
 from vrank.engine import greedy_lower_bound, visible_rank_exact
 from vrank.families import (
     Family,
@@ -18,7 +18,6 @@ from vrank.families import (
     gen_lrc,
     gen_tensor_gap,
     generate,
-    lcc_zero_rectangle_probe,
     row_groups,
     validate_family,
 )
