@@ -472,10 +472,10 @@ def _chain_exists(zeros: np.ndarray, need: int, a: int, deadline: float | None =
     Whether a set continues a chain depends only on its intersection, so
     each level is built once, as sorted member rows with their
     intersections, and deduplicated; an empty level answers False, and at
-    level a - 1 any passing pair answers True.  Past ``_CHAIN_WORK`` (each
-    level costs frontier x links x words, plus the member indices it sorts)
-    or past ``deadline``, read once per level, the answer is True, which is
-    sound for a prune.
+    level a - 1 any passing pair answers True.  Past ``_CHAIN_WORK`` (the
+    dive costs a x links x words, each level frontier x links x words plus
+    the member indices it sorts) or past ``deadline``, read once per level,
+    the answer is True, which is sound for a prune.
     """
     k, words = zeros.shape
     if k < a:
