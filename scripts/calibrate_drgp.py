@@ -12,10 +12,15 @@ Usage: python3 scripts/calibrate_drgp.py [--seeds 50] [--seed-base 0]
 
 import argparse
 import json
+import os
+import sys
 import time
 
-from vrank.engine import visible_rank_exact
-from vrank.families import gen_drgp, gen_tensor_gap
+# Import vrank from this checkout's source, installed or not.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from vrank.engine import visible_rank_exact  # noqa: E402
+from vrank.families import gen_drgp, gen_tensor_gap  # noqa: E402
 
 
 def calibrate(seeds: int, seed_base: int) -> dict:

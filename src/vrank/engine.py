@@ -208,13 +208,6 @@ def is_visibly_full_rank(M: Stencil) -> tuple[bool, DiagonalCertificate | None]:
     return True, cert
 
 
-def triangularize(M: Stencil) -> PermutationPair | None:
-    """Permutation pair making M upper triangular, or None if M is not
-    visibly full rank."""
-    ok, cert = is_visibly_full_rank(M)
-    return cert.perm_pair if ok else None
-
-
 def _triangular_pivots(H: Stencil, rows, cols) -> int:
     """Mask of ``cols``, checking in one pass that the sub-stencil of ``H`` on
     the 1-based ``rows`` and ``cols``, in that order, is upper triangular with
@@ -408,10 +401,25 @@ _LONG_CHAIN = 6
 _LONG_CHAIN_DEPTH = 2
 _LONG_CHAIN_AFTER = 1000
 _SHORT_CHAIN = 2
-#: Work one chain check may spend before it gives up and answers "may
-#: extend": overlaps computed (per 64-bit word in ``_chain_exists``) and
-#: member indices sorted.  It also bounds the arrays of the walk.
+#: Work one chain check at a node may spend before it gives up and answers
+#: "may extend": overlaps computed (per 64-bit word in ``_chain_exists``)
+#: and member indices sorted.
 _CHAIN_WORK = 300_000
+#: Words of overlaps ``_chain_exists`` computes at a time, which bounds its
+#: pair arrays whatever its work cap.
+_CHAIN_BLOCK = 1 << 16
+#: The most sets of links one level of ``_chain_exists`` holds.  A per-node
+#: check never reaches it: its levels hold at most min(C(k, s), 300,000 / k)
+#: sets of s of its k links, 17,647 at most (k = 17).
+_CHAIN_SETS = 1 << 15
+#: The search re-asks the root's prune, with need = incumbent + 1 and chains
+#: of ``_ROOT_CHAIN`` rows, each time it has gone ``_ROOT_AFTER`` x 2^j nodes
+#: since the incumbent last rose, with ``_ROOT_WORK`` units of work per
+#: stalled node and distinct row.  The walk's cost thus stays within a
+#: constant factor of the stalled search it may end.
+_ROOT_AFTER = 32
+_ROOT_CHAIN = 10
+_ROOT_WORK = 16
 
 
 def _may_extend(
@@ -420,6 +428,7 @@ def _may_extend(
     need: int,
     a: int,
     deadline: float | None,
+    work: int | None = None,
 ) -> bool:
     """False when no triangular sequence continuing the node adds ``need`` rows.
 
@@ -433,7 +442,8 @@ def _may_extend(
     row's zero set is U & ~fresh, of size |U| - c, because mask & U == fresh,
     and only rows with |U| - c >= need - a can be links.  For a = 2 a pair
     test over Python ints answers; longer chains go to ``_chain_exists``
-    with the zero sets packed from the fresh masks.
+    with the zero sets packed from the fresh masks.  ``work`` caps the
+    check's work, ``_CHAIN_WORK`` by default.
     """
     size = union.bit_count()
     if len(live) < need or size < need:
@@ -444,9 +454,9 @@ def _may_extend(
     if a > 2:
         fresh = [f for c, _, _, f in live if size - c >= need - a]
         words = _packed(fresh + [union], union.bit_length())
-        return _chain_exists(words[-1] & ~words[:-1], need, a, deadline)
+        return _chain_exists(words[-1] & ~words[:-1], need, a, deadline, work)
     zeros = [union & ~f for c, _, _, f in live if size - c >= need - 2]
-    budget = _CHAIN_WORK
+    budget = _CHAIN_WORK if work is None else work
     for z in zeros:
         if z.bit_count() >= need - 1:
             budget -= len(zeros)
@@ -459,7 +469,13 @@ def _may_extend(
     return False
 
 
-def _chain_exists(zeros: np.ndarray, need: int, a: int, deadline: float | None = None) -> bool:
+def _chain_exists(
+    zeros: np.ndarray,
+    need: int,
+    a: int,
+    deadline: float | None = None,
+    work: int | None = None,
+) -> bool:
     """True when some a distinct rows z_1..z_a of ``zeros``, zero sets packed
     as ``_packed`` packs them, have |z_1 & ... & z_s| >= need - s for every
     s <= a.
@@ -472,17 +488,22 @@ def _chain_exists(zeros: np.ndarray, need: int, a: int, deadline: float | None =
     Whether a set continues a chain depends only on its intersection, so
     each level is built once, as sorted member rows with their
     intersections, and deduplicated; an empty level answers False, and at
-    level a - 1 any passing pair answers True.  Past ``_CHAIN_WORK`` (the
-    dive costs a x links x words, each level frontier x links x words plus
-    the member indices it sorts) or past ``deadline``, read once per level,
-    the answer is True, which is sound for a prune.
+    level a - 1 any passing pair answers True.  A level is walked in blocks
+    of sets whose overlaps with every link fill ``_CHAIN_BLOCK`` words; the
+    passing (set, link) pairs are deduplicated after the last block, and
+    before it whenever more are held than are already distinct, so no array
+    grows with the work cap past the next level, which is charged in full.
+    Past ``work`` (``_CHAIN_WORK`` by default; the dive costs a x links x
+    words, each level frontier x links x words plus the member indices it
+    sorts), past ``deadline``, read once per block, or past ``_CHAIN_SETS``
+    sets in a level, the answer is True, which is sound for a prune.
     """
     k, words = zeros.shape
     if k < a:
         return False
     if a <= 0:
         return True
-    work = _CHAIN_WORK - a * k * words
+    work = (_CHAIN_WORK if work is None else work) - a * k * words
     if work < 0:
         return True
     counts = sizes = np.bitwise_count(zeros).sum(axis=1, dtype=np.int64)
@@ -500,26 +521,49 @@ def _chain_exists(zeros: np.ndarray, need: int, a: int, deadline: float | None =
         counts[used] = -1
     members = np.flatnonzero(sizes >= need - 1)[:, None]
     inter = zeros[members[:, 0]]
+    step = max(1, _CHAIN_BLOCK // (k * words))
     for s in range(1, a):
         f = len(members)
         if not f:
             return False
         work -= f * k * words
-        if work < 0 or (deadline is not None and time.monotonic() > deadline):
-            return True
-        counts = np.bitwise_count(inter[:, None, :] & zeros)
-        counts = counts.sum(axis=2, dtype=np.int64) if words > 1 else counts[:, :, 0]
-        passing = counts >= need - s - 1
-        passing[np.arange(f)[:, None], members] = False
-        if s == a - 1:
-            return bool(passing.any())
-        rows, ys = np.nonzero(passing)
-        work -= len(rows) * (s + 1)
         if work < 0:
             return True
-        grown = np.sort(np.concatenate([members[rows], ys[:, None]], axis=1), axis=1)
-        first = _first_of_each(grown, k)
-        members, inter = grown[first], inter[rows[first]] & zeros[ys[first]]
+        # The next level's (set, link) pairs as parts (rows, ys), the first
+        # of them deduplicated each time the others hold more pairs than it
+        # and than a block has sets.
+        parts, held, distinct = [], 0, 0
+        for b in range(0, f, step):
+            if deadline is not None and time.monotonic() > deadline:
+                return True
+            counts = np.bitwise_count(inter[b:b + step, None, :] & zeros)
+            counts = counts.sum(axis=2, dtype=np.int64) if words > 1 else counts[:, :, 0]
+            passing = counts >= need - s - 1
+            passing[np.arange(len(passing))[:, None], members[b:b + step]] = False
+            if s == a - 1:
+                if passing.any():
+                    return True
+                continue
+            rows, ys = np.nonzero(passing)
+            work -= len(rows) * (s + 1)
+            if work < 0:
+                return True
+            parts.append((rows + b, ys))
+            held += len(rows)
+            if b + step >= f or held - distinct > max(distinct, step):
+                rows, ys = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+                grown = np.sort(np.concatenate([members[rows], ys[:, None]], axis=1), axis=1)
+                first = _first_of_each(grown, k)
+                grown, parts = grown[first], [(rows[first], ys[first])]
+                held = distinct = len(first)
+                # The next level costs its size x links x words: answer now
+                # when that is past the work left or the size past
+                # ``_CHAIN_SETS``.
+                if distinct > min(work // (k * words), _CHAIN_SETS):
+                    return True
+        if s == a - 1:
+            return False
+        members, inter = grown, inter[parts[0][0]] & zeros[parts[0][1]]
     return len(members) > 0
 
 
@@ -549,6 +593,14 @@ def _urm_search(
     Depth-first over an explicit stack, so a deep sequence cannot hit the
     interpreter's recursion limit; the deadline is read at every node and
     inside ``_may_extend``.
+
+    Most of a search proves an incumbent already found, so each time the
+    search has gone ``_ROOT_AFTER``, twice that, four times that, ... nodes
+    since the incumbent last rose, it re-asks the root's prune whether any
+    ``best + 1`` rows form a triangular sequence, with chains of
+    ``_ROOT_CHAIN`` rows and a work cap of ``_ROOT_WORK`` per stalled node
+    and distinct row; "no" completes the search.  The schedule and the cap
+    read node counts only, so the nodes a search spends stay deterministic.
 
     A node makes one pass over its candidate rows, building each live row's
     fresh columns, their count c and the union U of them, which is all the
@@ -587,6 +639,14 @@ def _urm_search(
     best_seq: list[tuple[int, int]] | None = None
     visited: dict[int, int] = {}
     nodes = 0
+    # The root's live rows and union, for re-asking its prune while the
+    # incumbent stalls: ``risen`` is the node at which it last rose, and the
+    # next root walk runs when the stall reaches ``stall``.
+    root = [(mask.bit_count(), idx, mask, mask) for mask, idx in rows]
+    root_union = 0
+    for mask, _ in rows:
+        root_union |= mask
+    risen, stall = 0, _ROOT_AFTER
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
     # Frames of the nodes being expanded: (B, UR, depth, candidates for the
     # children, iterator over the children not yet tried).  A candidate is
@@ -603,6 +663,12 @@ def _urm_search(
         if depth > best:
             best = depth
             best_seq = seq.copy()
+            risen, stall = nodes, _ROOT_AFTER
+        elif nodes - risen == stall:
+            work = _ROOT_WORK * stall * len(rows)
+            stall *= 2
+            if not _may_extend(root, root_union, best + 1, _ROOT_CHAIN, deadline, work):
+                return best, best_seq, True
         prev = visited.get(B | UR)
         if prev is None or prev < depth:
             visited[B | UR] = depth

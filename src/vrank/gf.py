@@ -227,16 +227,3 @@ def low_rank_witness(H: Stencil, p: int) -> WitnessMatrix:
             row.append(v % p)
         grid.append(tuple(row))
     return WitnessMatrix(p, tuple(grid), H)
-
-
-def tensor_witness(W1: WitnessMatrix, W2: WitnessMatrix, target: Stencil) -> WitnessMatrix:
-    """Kronecker product of two witnesses; an F-witness of the tensor product
-    of their targets (which must be supplied as ``target``)."""
-    if W1.p != W2.p:
-        raise FieldError("witnesses live over different fields")
-    p = W1.p
-    grid = []
-    for r1 in W1.entries:
-        for r2 in W2.entries:
-            grid.append(tuple(a * b % p for a in r1 for b in r2))
-    return WitnessMatrix(p, tuple(grid), target)

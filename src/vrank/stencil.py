@@ -45,10 +45,6 @@ class SubsetError(StencilError):
     """Out-of-range or duplicate index in a row/column subset."""
 
 
-class PermutationSizeError(StencilError):
-    pass
-
-
 def is_json_int(x) -> bool:
     """True for a JSON integer (a Python int that is not a bool)."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -190,16 +186,6 @@ class PermutationPair:
             return tuple(out)
 
         return PermutationPair(inv(self.row_perm), inv(self.col_perm))
-
-
-def permute(H: Stencil, p: PermutationPair) -> Stencil:
-    """Reindex ``H`` so that ``result[i, j] = H[row_perm(i), col_perm(j)]``."""
-    if len(p.row_perm) != H.m or len(p.col_perm) != H.n:
-        raise PermutationSizeError(
-            f"permutation sizes ({len(p.row_perm)},{len(p.col_perm)}) "
-            f"do not match stencil ({H.m},{H.n})"
-        )
-    return substencil(H, p.row_perm, p.col_perm)
 
 
 def substencil(H: Stencil, row_subset, col_subset) -> Stencil:

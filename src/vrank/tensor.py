@@ -21,7 +21,6 @@ from .engine import (
     DEFAULT_NODE_BUDGET,
     DiagonalCertificate,
     VrankResult,
-    is_visibly_full_rank,
     visible_rank_exact,
 )
 from .families import row_groups
@@ -134,21 +133,6 @@ class DistinctRankResult:
     value: int
     certificate: DiagonalCertificate
     exhaustive: bool
-
-
-def is_distinctly_full_rank(M: Stencil) -> bool:
-    """Visibly full rank with pairwise-disjoint row and column value sets."""
-    ok, _ = is_visibly_full_rank(M)
-    if not ok:
-        return False
-    for labels in (M.row_labels, M.col_labels):
-        seen: set[int] = set()
-        for lab in labels:
-            vals = set(lab)
-            if vals & seen:
-                return False
-            seen |= vals
-    return True
 
 
 def distinct_rank_exact(
@@ -297,15 +281,15 @@ def capacity_lower_bound(
 
 
 def _root(v: int, k: int) -> float:
-    """v^(1/k) for an integer v >= 0: the float power while v converts to a
-    float, and past that the integer root when v is a k-th power, else
+    """v^(1/k) for an integer v >= 0: the integer root when v is a k-th
+    power, else the float power while v converts to a float, and past that
     2^(log2(v)/k); ``math.log2`` reads a big integer without converting it."""
     try:
-        return v ** (1.0 / k)
+        root = v ** (1.0 / k)
     except OverflowError:
         root = 2 ** (math.log2(v) / k)
-        a = round(root)
-        return float(a) if a**k == v else root
+    a = round(root)
+    return float(a) if a**k == v else root
 
 
 def tensor_power_vrank(

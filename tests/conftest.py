@@ -13,7 +13,9 @@ level by level under a subset budget, once by ``itertools.combinations``),
 and the row-grouped families (DRGP and tensor-gap
 sampling, and the clauses of their validator) by nested loops over every
 (i, j) pair.  ``lcc_zero_rectangle_probe`` is the Monte Carlo search for a
-small zero rectangle that the LCC structure criterion runs.
+small zero rectangle that the LCC structure criterion runs.  ``permute``,
+``triangularize``, ``is_distinctly_full_rank`` and ``tensor_witness`` are
+helpers that only the tests call.
 """
 
 from dataclasses import dataclass
@@ -22,11 +24,11 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from vrank.engine import DEFAULT_NODE_BUDGET, DiagonalCertificate
+from vrank.engine import DEFAULT_NODE_BUDGET, DiagonalCertificate, is_visibly_full_rank
 from vrank.families import Family, FamilyParamError, FamilyParams, ValidationReport, _rng
-from vrank.gf import gf_rank_rows
+from vrank.gf import FieldError, WitnessMatrix, gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
-from vrank.stencil import Stencil, StencilError, permute, substencil
+from vrank.stencil import PermutationPair, Stencil, StencilError, substencil
 from vrank.tensor import tensor_power
 
 #: Hard side limit of the star-diagonal counting oracle.
@@ -69,6 +71,55 @@ def count_star_diagonals(M: Stencil) -> int:
         else:
             total += prod
     return total
+
+
+class PermutationSizeError(StencilError):
+    """A permutation pair whose sizes differ from the stencil's."""
+
+
+def permute(H: Stencil, p: PermutationPair) -> Stencil:
+    """Reindex ``H`` so that ``result[i, j] = H[row_perm(i), col_perm(j)]``."""
+    if len(p.row_perm) != H.m or len(p.col_perm) != H.n:
+        raise PermutationSizeError(
+            f"permutation sizes ({len(p.row_perm)},{len(p.col_perm)}) "
+            f"do not match stencil ({H.m},{H.n})"
+        )
+    return substencil(H, p.row_perm, p.col_perm)
+
+
+def triangularize(M: Stencil) -> PermutationPair | None:
+    """Permutation pair making M upper triangular, or None if M is not
+    visibly full rank."""
+    ok, cert = is_visibly_full_rank(M)
+    return cert.perm_pair if ok else None
+
+
+def is_distinctly_full_rank(M: Stencil) -> bool:
+    """Visibly full rank with pairwise-disjoint row and column value sets."""
+    ok, _ = is_visibly_full_rank(M)
+    if not ok:
+        return False
+    for labels in (M.row_labels, M.col_labels):
+        seen: set[int] = set()
+        for lab in labels:
+            vals = set(lab)
+            if vals & seen:
+                return False
+            seen |= vals
+    return True
+
+
+def tensor_witness(W1: WitnessMatrix, W2: WitnessMatrix, target: Stencil) -> WitnessMatrix:
+    """Kronecker product of two witnesses; an F-witness of the tensor product
+    of their targets (which must be supplied as ``target``)."""
+    if W1.p != W2.p:
+        raise FieldError("witnesses live over different fields")
+    p = W1.p
+    grid = []
+    for r1 in W1.entries:
+        for r2 in W2.entries:
+            grid.append(tuple(a * b % p for a in r1 for b in r2))
+    return WitnessMatrix(p, tuple(grid), target)
 
 
 def verify_by_substencil(cert: DiagonalCertificate, H: Stencil) -> bool:

@@ -18,8 +18,10 @@ from tests.conftest import (
     brute_zero_rectangle,
     count_star_diagonals,
     level_zero_rectangle,
+    permute,
     random_stencil,
     rng_for,
+    triangularize,
     verify_by_substencil,
 )
 from vrank.engine import (
@@ -34,7 +36,6 @@ from vrank.engine import (
     greedy_lower_bound,
     is_visibly_full_rank,
     triangular_certificate,
-    triangularize,
     visible_rank_bounds,
     visible_rank_exact,
     visibly_independent,
@@ -54,7 +55,6 @@ from vrank.stencil import (
     StencilError,
     SubsetError,
     max_matching_size,
-    permute,
     substencil,
 )
 
@@ -607,6 +607,13 @@ def random_zero_sets(rng, width: int, count: int, density: float) -> list[int]:
     ]
 
 
+def missing_pairs(count: int, width: int | None = None) -> list[int]:
+    """Zero sets over ``width`` columns (2 x ``count`` by default), link i
+    missing 2i and 2i + 1."""
+    full = (1 << (width or 2 * count)) - 1
+    return [full & ~(0b11 << 2 * i) for i in range(count)]
+
+
 class TestChain:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
@@ -707,10 +714,6 @@ class TestChain:
         # confirms.  The walk would hold all C(128, 2) pairs against every
         # link, 33 MB of intersections, and C(128, 3) triples after them;
         # the work cap answers "may extend" first.
-        def missing_pairs(count: int) -> list[int]:
-            full = (1 << 2 * count) - 1
-            return [full & ~(0b11 << 2 * i) for i in range(count)]
-
         assert not brute_chain(missing_pairs(7), 14 - 5, 6)
         assert not _chain_exists(chain_links(missing_pairs(7)), 14 - 5, 6)
         links = chain_links(missing_pairs(128))
@@ -721,6 +724,41 @@ class TestChain:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_work_cap_bounds_the_blocked_walk(self):
+        # The same links under a root-sized cap: the C(128, 2) pairs of level
+        # 2 fit it, and the walk sees them in blocks, not all at once (36.8 MB
+        # for one unblocked product of their intersections with every link).
+        links = chain_links(missing_pairs(128))
+        tracemalloc.start()
+        try:
+            assert _chain_exists(links, 256 - 5, 6, work=5_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_deadline_read_inside_a_level(self):
+        # Any two of these links meet in width - 4 = need - 2 columns and no
+        # three in need - 3, so the walk answers False after testing each of
+        # the C(256, 2) pairs, within the set bound, against every link,
+        # which takes longer than the budget below (0.8 s on a 2-vCPU Xeon);
+        # under an unbounded cap only the deadline, read per block, stops it.
+        assert not brute_chain(missing_pairs(8, 24), 22, 3)
+        assert not _chain_exists(chain_links(missing_pairs(8, 24)), 22, 3)
+        assert engine._CHAIN_SETS >= 256 * 255 // 2
+        links = chain_links(missing_pairs(256, 1024))
+        start = time.monotonic()
+        assert _chain_exists(links, 1022, 3, deadline=start + 0.1, work=10**12)
+        assert time.monotonic() - start < 0.1 + 0.5
+
+    def test_drgp64_root_walk_node_count(self):
+        # Re-asking the root's prune ends the proof phase at 1056 nodes; the
+        # per-node prunes alone take 1788.
+        H = gen_drgp(64, 2, 0)
+        res = visible_rank_exact(H, node_budget=1100)
+        assert res.exact and res.certificate.verify(H)
+        assert res.upper_provenance == PROV_EXACT
 
     @pytest.mark.parametrize("k", [3, 1000, 2**40])
     def test_first_of_each_matches_unique(self, k):
@@ -750,3 +788,57 @@ class TestChain:
         res = visible_rank_exact(H, time_budget=0.5)
         assert time.monotonic() - start < 1.5
         assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
+
+
+class TestRootProof:
+    """The root's prune re-asked at every doubling of the stall, from the
+    first node on, against the oracles."""
+
+    @pytest.fixture
+    def root_walks(self, monkeypatch):
+        # Records the answer of every root walk (the calls given a work cap).
+        monkeypatch.setattr(engine, "_ROOT_AFTER", 1)
+        answers = []
+        may_extend = engine._may_extend
+
+        def recording(live, union, need, a, deadline, work=None):
+            answer = may_extend(live, union, need, a, deadline, work)
+            if work is not None:
+                answers.append(answer)
+            return answer
+
+        monkeypatch.setattr(engine, "_may_extend", recording)
+        return answers
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bruteforce(self, root_walks, seed):
+        rng = rng_for(300 + seed)
+        for _ in range(30):
+            m, n = int(rng.integers(4, 10)), int(rng.integers(4, 10))
+            H = random_stencil(rng, m, n, float(rng.choice([0.3, 0.5, 0.7])))
+            res = visible_rank_exact(H)
+            assert res.exact and res.lower_bound == brute_vrank(H)
+            assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
+        # Some of the searches were ended by a root walk.
+        assert False in root_walks
+
+    @pytest.mark.parametrize(
+        "H, value",
+        [(gen_lrc(6, 2, 0), 5), (gen_tensor_gap(4, 3, 0), 3), (gen_tensor_gap(4, 3, 1), 3),
+         (gen_tensor_gap(6, 3, 0), 3)],
+        ids=["lrc6", "tgap4s0", "tgap4s1", "tgap6s0"],
+    )
+    def test_distinct_rank_kept(self, root_walks, H, value):
+        res = distinct_rank_exact(H, 2)
+        assert res.exhaustive and res.value == value
+        assert root_walks
+
+    def test_time_budget_kept(self, root_walks, monkeypatch):
+        # Root walks from the first node, each with more work than the budget
+        # allows: the search and its walks share the one deadline.
+        monkeypatch.setattr(engine, "_ROOT_WORK", 10**9)
+        H = gen_drgp(128, 2, 1)
+        start = time.monotonic()
+        res = visible_rank_exact(H, time_budget=0.5)
+        assert time.monotonic() - start < 1.5
+        assert root_walks and res.certificate.verify(H)

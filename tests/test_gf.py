@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_minrank, random_stencil, rng_for
+from tests.conftest import brute_minrank, random_stencil, rng_for, tensor_witness
 from vrank.engine import visible_rank_exact
 from vrank.families import gen_drgp
 from vrank.gf import (
@@ -17,7 +17,6 @@ from vrank.gf import (
     is_prime,
     low_rank_witness,
     minrank_bruteforce,
-    tensor_witness,
     validate_witness,
 )
 from vrank.stencil import Stencil

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from tests.conftest import (
     OracleLimitError,
+    PermutationSizeError,
     brute_matching,
     count_star_diagonals,
     greedy_free_rows,
     permanent_by_permutations,
+    permute,
     random_stencil,
     rng_for,
 )
@@ -26,14 +28,12 @@ from vrank.stencil import (
     IllegalCharacterError,
     MalformedHeaderError,
     PermutationPair,
-    PermutationSizeError,
     RaggedRowError,
     Stencil,
     StencilError,
     SubsetError,
     max_matching_size,
     parse_stencil,
-    permute,
     stencil_from_json_doc,
     substencil,
     to_grid,

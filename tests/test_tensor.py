@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_distinct_rank, random_stencil, rng_for
+from tests.conftest import brute_distinct_rank, is_distinctly_full_rank, random_stencil, rng_for
 import vrank.engine as engine
 import vrank.tensor as tensor
 from vrank.engine import (
@@ -20,7 +20,6 @@ from vrank.tensor import (
     capacity_lower_bound,
     diagonal_tensor_certificate,
     distinct_rank_exact,
-    is_distinctly_full_rank,
     tensor_certificate,
     tensor_power,
     tensor_power_vrank,
@@ -292,11 +291,13 @@ class TestCapacity:
         assert est.per_level == {1: (0, True), 2: (0, True), 3: (0, True)}
 
     def test_levels_past_float_range(self):
-        # 3^k is past the float range from k = 647 on.  Levels within it keep
-        # their float roots, of which level 91's is one ulp above 3.
+        # 3^k is past the float range from k = 647 on.  Every level is a k-th
+        # power, so its root is exact, where the float root of level 91 is
+        # one ulp above 3.
         est = capacity_lower_bound(I3, 700)
         assert est.per_level[700] == (3**700, True)
-        assert est.best == max((3**k) ** (1.0 / k) for k in range(1, 647)) == 3.0000000000000004
+        assert max((3**k) ** (1.0 / k) for k in range(1, 647)) == 3.0000000000000004
+        assert est.best == 3.0
         assert tensor._root(3**700, 700) == 3.0
         assert tensor._root(3**700 + 1, 700) == pytest.approx(3.0)
 
