@@ -420,6 +420,13 @@ _CHAIN_SETS = 1 << 15
 _ROOT_AFTER = 32
 _ROOT_CHAIN = 10
 _ROOT_WORK = 16
+#: The search runs one ``_beam`` of ``_BEAM_WIDTH`` unions per level, at the
+#: first stall point past ``_BEAM_AFTER`` nodes whose root walk does not
+#: prove the incumbent, and takes its sequence when it beats the incumbent.
+#: A smaller search, or one whose incumbent is already proven, finishes
+#: before the beam would repay its cost.
+_BEAM_WIDTH = 32
+_BEAM_AFTER = 64
 
 
 def _may_extend(
@@ -579,6 +586,73 @@ def _first_of_each(rows: np.ndarray, k: int) -> np.ndarray:
     return np.unique(key, return_index=True)[1]
 
 
+def _beam(
+    rows: list[tuple[int, int]],
+    n: int,
+    width: int,
+    deadline: float | None,
+    floor: int = 0,
+) -> tuple[int, list[tuple[int, int]]]:
+    """Beam search over triangular row sequences of the (mask, index) rows
+    on n columns: returns (depth, sequence of (index, lowest fresh column)
+    pairs), the forward sequence ``_certificate_from_sequence`` replays.
+
+    Level d + 1 keeps the ``width`` distinct unions B | r with the fewest
+    columns, over the unions B of level d and the rows r with a column
+    outside B.  A child with c columns extends to at most d + 1 + n - c
+    rows, as in the search's own prune, so the children that cannot pass
+    ``floor`` rows are dropped, and a beam that cannot beat that incumbent
+    stops early.  The rows are packed once as ``_packed`` packs them, any
+    number of words each; a level's children are ranked by one stable sort
+    of their column counts.  The deadline is read once per level; on a stop
+    the deepest sequence held is returned.
+    """
+    packed = _packed([mask for mask, _ in rows], n)
+    k, words = packed.shape
+    absent = n + 1  # the size of a child that does not exist
+    dtype = np.min_scalar_type(absent)
+    union = np.dtype((np.void, 8 * words))  # one sortable key per union
+    level, sizes = np.zeros((1, words), np.uint64), np.zeros((1, 1), dtype)
+    steps = []  # the (parents, rows) of each level's unions
+    while deadline is None or time.monotonic() <= deadline:
+        fresh = np.bitwise_count(packed & ~level[:, None, :]).sum(axis=2, dtype=dtype)
+        counts = sizes + fresh
+        counts[fresh == 0] = absent
+        live = np.count_nonzero(counts <= min(n, n + len(steps) - floor))
+        if not live:
+            break
+        # Ties go to the later parent, then to the later row: parents are
+        # ranked by size, so of two children of one size this prefers the
+        # one that adds fewer columns.
+        order = counts.size - 1 - counts[::-1, ::-1].argsort(axis=None, kind="stable")[:live]
+        # The first ``width`` distinct unions in that order, sought in a
+        # prefix that doubles until it holds them.
+        span = 4 * width
+        while True:
+            parents, picked = np.divmod(order[:span], k)
+            grown = level[parents] | packed[picked]
+            keys = grown[:, 0] if words == 1 else grown.view(union)[:, 0]
+            first = np.sort(np.unique(keys, return_index=True)[1])[:width]
+            if len(first) == width or span >= live:
+                break
+            span *= 2
+        level, sizes = grown[first], counts.ravel()[order[first]][:, None]
+        steps.append((parents[first].tolist(), picked[first].tolist()))
+    # Backtrack from the first union of the deepest level, then replay the
+    # rows forward for their lowest fresh columns.
+    i, chosen = 0, []
+    for parents, picked in reversed(steps):
+        chosen.append(picked[i])
+        i = parents[i]
+    seq, blocked = [], 0
+    for r in reversed(chosen):
+        mask, idx = rows[r]
+        fresh = mask & ~blocked
+        seq.append((idx, (fresh & -fresh).bit_length() - 1))
+        blocked |= mask
+    return len(seq), seq
+
+
 def _urm_search(
     masks: list[int],
     n: int,
@@ -599,7 +673,14 @@ def _urm_search(
     since the incumbent last rose, it re-asks the root's prune whether any
     ``best + 1`` rows form a triangular sequence, with chains of
     ``_ROOT_CHAIN`` rows and a work cap of ``_ROOT_WORK`` per stalled node
-    and distinct row; "no" completes the search.  The schedule and the cap
+    and distinct row; "no" completes the search.  The first such walk past
+    ``_BEAM_AFTER`` nodes that answers "may extend" is followed by one
+    ``_beam`` of ``_BEAM_WIDTH`` unions per level, floored at the
+    incumbent: a primal heuristic that often reaches the optimum the
+    depth-first order finds late.  Its sequence becomes the incumbent when
+    it is longer, and the stall count restarts.
+    The beam reads the search's deadline once per level, and is skipped when
+    value bitmasks are given.  The schedule, the cap and the beam's trigger
     read node counts only, so the nodes a search spends stay deterministic.
 
     A node makes one pass over its candidate rows, building each live row's
@@ -619,6 +700,7 @@ def _urm_search(
     adds them, shifted past the n columns, to UR, and the memo key is
     B | UR.  The forced move needs a row and a column without values."""
     deadline = time.monotonic() + time_budget if time_budget is not None else None
+    beam_due = not (row_vals or col_vals)
     row_vals = [v << n for v in row_vals] if row_vals else [0] * len(masks)
     # The columns each pivot column blocks: those sharing one of its values.
     classes = bool(col_vals) and any(col_vals)
@@ -669,6 +751,12 @@ def _urm_search(
             stall *= 2
             if not _may_extend(root, root_union, best + 1, _ROOT_CHAIN, deadline, work):
                 return best, best_seq, True
+            if beam_due and nodes >= _BEAM_AFTER:
+                beam_due = False
+                value, beam_seq = _beam(rows, n, _BEAM_WIDTH, deadline, best)
+                if value > best:
+                    best, best_seq = value, beam_seq
+                    risen, stall = nodes, _ROOT_AFTER
         prev = visited.get(B | UR)
         if prev is None or prev < depth:
             visited[B | UR] = depth

@@ -178,15 +178,6 @@ class PermutationPair:
     def identity(m: int, n: int) -> "PermutationPair":
         return PermutationPair(tuple(range(1, m + 1)), tuple(range(1, n + 1)))
 
-    def inverse(self) -> "PermutationPair":
-        def inv(perm):
-            out = [0] * len(perm)
-            for i, img in enumerate(perm):
-                out[img - 1] = i + 1
-            return tuple(out)
-
-        return PermutationPair(inv(self.row_perm), inv(self.col_perm))
-
 
 def substencil(H: Stencil, row_subset, col_subset) -> Stencil:
     """Restrict ``H`` to the given 1-based rows and columns, in the given order."""

@@ -87,6 +87,18 @@ def permute(H: Stencil, p: PermutationPair) -> Stencil:
     return substencil(H, p.row_perm, p.col_perm)
 
 
+def inverse(p: PermutationPair) -> PermutationPair:
+    """The pair of inverse bijections: ``permute(permute(H, p), inverse(p)) == H``."""
+
+    def inv(perm):
+        out = [0] * len(perm)
+        for i, img in enumerate(perm):
+            out[img - 1] = i + 1
+        return tuple(out)
+
+    return PermutationPair(inv(p.row_perm), inv(p.col_perm))
+
+
 def triangularize(M: Stencil) -> PermutationPair | None:
     """Permutation pair making M upper triangular, or None if M is not
     visibly full rank."""

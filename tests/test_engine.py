@@ -29,6 +29,8 @@ from vrank.engine import (
     PROV_WITNESS,
     PROV_ZERO_RECT,
     DiagonalCertificate,
+    _beam,
+    _certificate_from_sequence,
     _chain_exists,
     _first_of_each,
     _may_extend,
@@ -290,7 +292,9 @@ class TestExact:
         assert res.upper_provenance == PROV_ZERO_RECT
 
     def test_time_budget_kept(self):
-        H = gen_lcc(128, 3, 0.05, 1)
+        # No search proves this one within 20 s; LCC-128 now completes in
+        # about 0.4 s, too close to the budget to stop on it.
+        H = gen_lcc(256, 4, 0.05, 1)
         start = time.monotonic()
         res = visible_rank_exact(H, time_budget=0.5)
         assert time.monotonic() - start < 1.5
@@ -524,50 +528,54 @@ def json_digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-#: sha256 of ``visible_rank_exact(H).to_json()`` (keys sorted), recorded
+#: vrk(H), which ``visible_rank_exact(H)`` proves by a completed search, and
+#: the sha256 of its ``to_json()`` (keys sorted).  The digests were recorded
 #: before the chain check replaced the pair prune: a sound prune that keeps
-#: the child order leaves every value, flag and certificate as it was.
+#: the child order leaves every value, flag and certificate as it was.  The
+#: beam's incumbent replaced the certificates of DRGP-64 seed 1, LCC-64
+#: seeds 0 and 1 and LRC-32 seeds 0 and 3 by other optimal ones, whose
+#: digests were pinned again, after their values had been checked.
 GOLDEN_RESULTS = [
-    (gen_drgp, (64, 2, 0),
+    (gen_drgp, (64, 2, 0), 16,
      "c2a47239ed158a6faa35f050b89e5ee90f2bf38c55a1d080053b4bc9a9718694"),
-    (gen_drgp, (64, 2, 1),
-     "401a0dabb6743c76815086ba3d5e48bdddb516757705dcb0716d2e013c655a3a"),
-    (gen_drgp, (32, 2, 0),
+    (gen_drgp, (64, 2, 1), 17,
+     "e391290a7110e0a53e8189f6c9acc2ea26e465326d8da8d01e1f3386dec55fb2"),
+    (gen_drgp, (32, 2, 0), 13,
      "497a30311fa67c585b664b05d4b7dba4ea39bf3b37b2db827fc0a8280a85acf8"),
-    (gen_drgp, (32, 2, 1),
+    (gen_drgp, (32, 2, 1), 13,
      "dd4b5af5db574357d97cfcf9519b78b21d7b0ff17fc90b97b000f8231809dc48"),
-    (gen_drgp, (32, 2, 2),
+    (gen_drgp, (32, 2, 2), 13,
      "8cd7e8c1854e6fbf0537a9c435ee9d653978e9d8df8838caaa20a9cf59f0f749"),
-    (gen_drgp, (32, 2, 3),
+    (gen_drgp, (32, 2, 3), 12,
      "a7bf4d189329b10ba26e22cd14da1d900f41e3bb25c32c64933ad0c7f5108320"),
-    (gen_drgp, (32, 2, 4),
+    (gen_drgp, (32, 2, 4), 13,
      "b2f37830804699aa0137058f583e7440752fd986a440d393106e5da10519f65b"),
-    (gen_drgp, (32, 2, 5),
+    (gen_drgp, (32, 2, 5), 12,
      "c3ad76530a926acc988c076b633c180fc4a30a5ddab87be83bdc531856232611"),
-    (gen_drgp, (32, 2, 6),
+    (gen_drgp, (32, 2, 6), 12,
      "887ba22427e0d0de4eba5915fd3fdf216e9acdd9847aa0161487d687c09c673f"),
-    (gen_drgp, (32, 2, 7),
+    (gen_drgp, (32, 2, 7), 12,
      "32167caf7a4fc7fe2c1b685de1183402bc7bd3266001a222553ccd50c644e5af"),
-    (gen_lcc, (64, 3, 0.05, 0),
-     "9ca7d6239f32e8fc0cee02717b202824922f55c8fd94437fc01876d991280edd"),
-    (gen_lcc, (64, 3, 0.05, 1),
-     "4e1ed715dd9c8f31da8a501e97325bbee673412e3ab7fcf4b9368ee218ab79ce"),
-    (gen_tensor_gap, (32, 3, 0),
+    (gen_lcc, (64, 3, 0.05, 0), 59,
+     "3ad8d272cf4ba7ca99cd90b958a2e327c3a42e3add489137799f72cd7466941d"),
+    (gen_lcc, (64, 3, 0.05, 1), 59,
+     "fb18d17aa6e6045b87f8dd5871e9ffbecb3a51fd95dd5cd9aed7681ee1e30ed8"),
+    (gen_tensor_gap, (32, 3, 0), 9,
      "3901fd80ff2a049eda51201cb1aff8cf37a8f437f7235acf3f8f45a65641cfb7"),
-    (gen_tensor_gap, (32, 3, 1),
+    (gen_tensor_gap, (32, 3, 1), 10,
      "11e107017a42616671cd2a61b53f3835dcd089db190dd5cd46ba19cb5af419fe"),
-    (gen_tensor_gap, (32, 3, 2),
+    (gen_tensor_gap, (32, 3, 2), 9,
      "79e8342c49130a7e4e308274e494c10bd6e26fe5c16b3c802501e9668f29b987"),
-    (gen_tensor_gap, (32, 3, 3),
+    (gen_tensor_gap, (32, 3, 3), 10,
      "ad9384409ca4165d190c7ab3b0eb1d8d7ab2653f2c337dff2323dfc58cc163d4"),
-    (gen_lrc, (32, 2, 0),
-     "7cb72584914ed2c3644495789d9c72b9e54c7d6e314d04141657268e30a7e468"),
-    (gen_lrc, (32, 2, 1),
+    (gen_lrc, (32, 2, 0), 28,
+     "2e556c71e3d6f1c0a88d432ed1ef6a4bc830ed4c5d93c27c4f3f2655a201e519"),
+    (gen_lrc, (32, 2, 1), 28,
      "5ef7696b6127d7a1080ba8d8c5a81ec8b8d9c29776947f20b0045cde1bc1e5de"),
-    (gen_lrc, (32, 2, 2),
+    (gen_lrc, (32, 2, 2), 29,
      "e8573650dec86a2537c9efa24417ae814305dac0f206b165096c9e36df998993"),
-    (gen_lrc, (32, 2, 3),
-     "4c33c8ee845079ab5fb0b2fea022dac83aed442e8a5174555886085c7c47b14a"),
+    (gen_lrc, (32, 2, 3), 28,
+     "525e621e37f418bfed2babdbe536dc2fc9edb2a638521379ffbbb8fe13832d04"),
 ]
 
 #: sha256 of ``capacity_lower_bound(gen_drgp(6, 2, s), 2).to_json()``, recorded
@@ -580,11 +588,20 @@ GOLDEN_CAPACITY = [
 
 class TestGolden:
     @pytest.mark.parametrize(
-        "gen, args, digest", GOLDEN_RESULTS,
-        ids=[f"{gen.__name__}{args}" for gen, args, _ in GOLDEN_RESULTS],
+        "gen, args, value, digest", GOLDEN_RESULTS,
+        ids=[f"{gen.__name__}{args}" for gen, args, _, _ in GOLDEN_RESULTS],
     )
-    def test_exact_result(self, gen, args, digest):
-        assert json_digest(visible_rank_exact(gen(*args)).to_json()) == digest
+    def test_exact_result(self, gen, args, value, digest):
+        # Everything but the certificate first, which a change of search
+        # order may replace by another optimal one.
+        H = gen(*args)
+        res = visible_rank_exact(H)
+        doc = res.to_json()
+        certificate = doc.pop("certificate")
+        assert doc == {"lower": value, "upper": value, "exact": True,
+                       "upper_provenance": PROV_EXACT}
+        assert res.certificate.verify(H)
+        assert json_digest({**doc, "certificate": certificate}) == digest
 
     @pytest.mark.parametrize(
         "seed, digest", GOLDEN_CAPACITY, ids=[f"seed{s}" for s, _ in GOLDEN_CAPACITY]
@@ -842,3 +859,115 @@ class TestRootProof:
         res = visible_rank_exact(H, time_budget=0.5)
         assert time.monotonic() - start < 1.5
         assert root_walks and res.certificate.verify(H)
+
+
+def beam_rows(H: Stencil) -> list[tuple[int, int]]:
+    """The (mask, index) rows the search hands ``_beam``: nonzero, distinct."""
+    rows, seen = [], set()
+    for i, mask in enumerate(H.rows):
+        if mask and mask not in seen:
+            seen.add(mask)
+            rows.append((mask, i))
+    return rows
+
+
+class TestBeam:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replays_within_the_oracle(self, seed):
+        # Widths from 1, a greedy dive, to past the number of unions, and
+        # floors up to the optimum, which no beam passes.
+        rng = rng_for(400 + seed)
+        for _ in range(30):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            H = random_stencil(rng, m, n, float(rng.choice([0.3, 0.5, 0.7])))
+            vrk = brute_vrank(H)
+            width, floor = int(rng.choice([1, 2, 32])), int(rng.integers(0, vrk + 1))
+            depth, seq = _beam(beam_rows(H), H.n, width, None, floor)
+            cert = _certificate_from_sequence(H, seq)
+            assert depth == cert.size <= vrk
+            assert cert.verify(H)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_drgp(64, 2, 1), lambda: gen_lcc(64, 3, 0.05, 0)],
+        ids=["drgp64", "lcc64"],
+    )
+    def test_deterministic(self, make):
+        H = make()
+        first = _beam(beam_rows(H), H.n, 32, None)
+        assert _beam(beam_rows(H), H.n, 32, None) == first
+        assert _certificate_from_sequence(H, first[1]).verify(H)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiword(self, seed):
+        # Column j of a DRGP-32 stencil moved to column 3j + 2 of 98, two
+        # words: only column counts rank the unions, so the beam takes the
+        # same rows, and each pivot moves with its column.
+        H = gen_drgp(32, 2, seed)
+        spread = Stencil.from_rows(
+            [sum(1 << (3 * j + 2) for j in range(H.n) if mask >> j & 1) for mask in H.rows], 98
+        )
+        depth, seq = _beam(beam_rows(H), H.n, 32, None)
+        assert _beam(beam_rows(spread), spread.n, 32, None) == (
+            depth, [(i, 3 * j + 2) for i, j in seq]
+        )
+        assert _certificate_from_sequence(spread, [(i, 3 * j + 2) for i, j in seq]).verify(spread)
+        H = gen_lcc(128, 3, 0.05, seed)
+        assert _certificate_from_sequence(H, _beam(beam_rows(H), H.n, 32, None)[1]).verify(H)
+
+    def test_deadline_passed(self):
+        H = gen_lcc(128, 3, 0.05, 1)
+        depth, seq = _beam(beam_rows(H), H.n, 32, time.monotonic() - 1)
+        assert depth <= 1 and _certificate_from_sequence(H, seq).verify(H)
+
+
+class TestBeamInSearch:
+    """The beam run at the first stall point of every search, from the first
+    node on, against the oracles."""
+
+    @pytest.fixture
+    def beams(self, monkeypatch):
+        # Records the depth of every beam and the incumbent it had to beat.
+        monkeypatch.setattr(engine, "_ROOT_AFTER", 1)
+        monkeypatch.setattr(engine, "_BEAM_AFTER", 1)
+        runs = []
+        beam = engine._beam
+
+        def recording(rows, n, width, deadline, floor=0):
+            result = beam(rows, n, width, deadline, floor)
+            runs.append((result[0], floor))
+            return result
+
+        monkeypatch.setattr(engine, "_beam", recording)
+        return runs
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bruteforce(self, beams, seed):
+        rng = rng_for(500 + seed)
+        for _ in range(30):
+            m, n = int(rng.integers(4, 10)), int(rng.integers(4, 10))
+            H = random_stencil(rng, m, n, float(rng.choice([0.3, 0.5, 0.7])))
+            res = visible_rank_exact(H)
+            assert res.exact and res.lower_bound == brute_vrank(H)
+            assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
+        # Some of the beams beat the incumbent and became it.
+        assert any(depth > floor for depth, floor in beams)
+
+    @pytest.mark.parametrize(
+        "H, value",
+        [(gen_lrc(6, 2, 0), 5), (gen_tensor_gap(4, 3, 0), 3), (gen_tensor_gap(4, 3, 1), 3),
+         (gen_tensor_gap(6, 3, 0), 3)],
+        ids=["lrc6", "tgap4s0", "tgap4s1", "tgap6s0"],
+    )
+    def test_distinct_rank_kept(self, beams, H, value):
+        # The beam knows no value classes, so the distinct-rank search runs none.
+        res = distinct_rank_exact(H, 2)
+        assert res.exhaustive and res.value == value
+        assert not beams
+
+    def test_lcc64_node_count(self):
+        # The beam raises the incumbent from 57 to the optimum 59 at node 90,
+        # the first stall point past 64 nodes, and a root walk proves it at
+        # node 154; without the beam the search takes 1170 nodes.
+        H = gen_lcc(64, 3, 0.05, 0)
+        res = visible_rank_exact(H, node_budget=400)
+        assert res.exact and res.lower_bound == 59 and res.certificate.verify(H)
