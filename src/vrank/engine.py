@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,21 +402,21 @@ _LONG_CHAIN_DEPTH = 2
 _LONG_CHAIN_AFTER = 1000
 _SHORT_CHAIN = 2
 #: Work one chain check at a node may spend before it gives up and answers
-#: "may extend": overlaps computed (per 64-bit word in ``_chain_exists``)
-#: and member indices sorted.
+#: "may extend": overlaps computed (per 64-bit word in ``_chain_walk``) and
+#: member indices sorted.
 _CHAIN_WORK = 300_000
-#: Words of overlaps ``_chain_exists`` computes at a time, which bounds its
-#: pair arrays whatever its work cap.
+#: Words of overlaps ``_chain_walk`` computes at a time, which bounds its
+#: pair arrays whatever work it is granted.
 _CHAIN_BLOCK = 1 << 16
-#: The most sets of links one level of ``_chain_exists`` holds.  A per-node
+#: The most sets of links one level of ``_chain_walk`` holds.  A per-node
 #: check never reaches it: its levels hold at most min(C(k, s), 300,000 / k)
 #: sets of s of its k links, 17,647 at most (k = 17).
 _CHAIN_SETS = 1 << 15
-#: The search re-asks the root's prune, with need = incumbent + 1 and chains
-#: of ``_ROOT_CHAIN`` rows, each time it has gone ``_ROOT_AFTER`` x 2^j nodes
-#: since the incumbent last rose, with ``_ROOT_WORK`` units of work per
-#: stalled node and distinct row.  The walk's cost thus stays within a
-#: constant factor of the stalled search it may end.
+#: While the incumbent stalls, the search grants the root's prune, with need
+#: = incumbent + 1 and chains of ``_ROOT_CHAIN`` rows, ``_ROOT_WORK`` units
+#: of work per stalled node and distinct row each time it has gone
+#: ``_ROOT_AFTER`` x 2^j nodes since the incumbent last rose.  The walk's
+#: cost thus stays within a constant factor of the stalled search it may end.
 _ROOT_AFTER = 32
 _ROOT_CHAIN = 10
 _ROOT_WORK = 16
@@ -435,7 +435,6 @@ def _may_extend(
     need: int,
     a: int,
     deadline: float | None,
-    work: int | None = None,
 ) -> bool:
     """False when no triangular sequence continuing the node adds ``need`` rows.
 
@@ -445,12 +444,9 @@ def _may_extend(
     columns of U, so it needs ``need`` live rows and |U| >= need.  Its first
     s rows have no star on the need - s later pivots, so their zero sets in
     U share at least need - s columns: a zero-rectangle bound on the
-    residual stencil, checked for every s <= a when need >= 3.  Inside U a
-    row's zero set is U & ~fresh, of size |U| - c, because mask & U == fresh,
-    and only rows with |U| - c >= need - a can be links.  For a = 2 a pair
-    test over Python ints answers; longer chains go to ``_chain_exists``
-    with the zero sets packed from the fresh masks.  ``work`` caps the
-    check's work, ``_CHAIN_WORK`` by default.
+    residual stencil, checked for every s <= a when need >= 3.  For a = 2 a
+    pair test over Python ints answers, within ``_CHAIN_WORK``; longer
+    chains go to ``_chain_exists`` with the zero sets of ``_chain_links``.
     """
     size = union.bit_count()
     if len(live) < need or size < need:
@@ -459,11 +455,9 @@ def _may_extend(
         return True
     a = min(a, need)
     if a > 2:
-        fresh = [f for c, _, _, f in live if size - c >= need - a]
-        words = _packed(fresh + [union], union.bit_length())
-        return _chain_exists(words[-1] & ~words[:-1], need, a, deadline, work)
+        return _chain_exists(_chain_links(live, union, need, a), need, a, deadline)
     zeros = [union & ~f for c, _, _, f in live if size - c >= need - 2]
-    budget = _CHAIN_WORK if work is None else work
+    budget = _CHAIN_WORK
     for z in zeros:
         if z.bit_count() >= need - 1:
             budget -= len(zeros)
@@ -476,6 +470,46 @@ def _may_extend(
     return False
 
 
+def _chain_links(
+    live: list[tuple[int, int, int, int]], union: int, need: int, a: int
+) -> np.ndarray:
+    """The zero sets in U of the rows of ``live`` that can be links of an
+    a-chain for ``need``, packed from the fresh masks: inside U a row's zero
+    set is U & ~fresh, of size |U| - c, because mask & U == fresh, and only
+    rows with |U| - c >= need - a can be links."""
+    size = union.bit_count()
+    fresh = [f for c, _, _, f in live if size - c >= need - a]
+    words = _packed(fresh + [union], union.bit_length())
+    return words[-1] & ~words[:-1]
+
+
+def _root_walk(
+    live: list[tuple[int, int, int, int]],
+    union: int,
+    need: int,
+    deadline: float | None,
+) -> Generator[bool | None, int, None]:
+    """``_may_extend`` at the search's root with chains of ``_ROOT_CHAIN``
+    rows, as one walk the search resumes while the incumbent stalls.
+
+    Prime it with ``next``; then each number of work units sent to it
+    answers False when no sequence of ``need`` rows exists, and True while
+    the walk is paused for more work or has ended without a proof.  The
+    walk fed grants w1..wk answers as ``_may_extend`` capped at w1 + ... +
+    wk, without redoing the work of the earlier grants.  A finished walk
+    repeats its answer.
+    """
+    if len(live) < need or union.bit_count() < need:
+        answer = False
+    elif need < 3:
+        answer = True
+    else:
+        a = min(_ROOT_CHAIN, need)
+        answer = yield from _chain_walk(_chain_links(live, union, need, a), need, a, deadline)
+    while True:
+        yield answer
+
+
 def _chain_exists(
     zeros: np.ndarray,
     need: int,
@@ -485,7 +519,23 @@ def _chain_exists(
 ) -> bool:
     """True when some a distinct rows z_1..z_a of ``zeros``, zero sets packed
     as ``_packed`` packs them, have |z_1 & ... & z_s| >= need - s for every
-    s <= a.
+    s <= a: ``_chain_walk`` granted ``work`` units once (``_CHAIN_WORK`` by
+    default), a pause answering True, which is sound for a prune."""
+    walk = _chain_walk(zeros, need, a, deadline)
+    next(walk)
+    try:
+        return walk.send(_CHAIN_WORK if work is None else work)
+    except StopIteration as done:
+        return done.value
+
+
+def _chain_walk(
+    zeros: np.ndarray,
+    need: int,
+    a: int,
+    deadline: float | None,
+) -> Generator[bool | None, int, bool]:
+    """The walk behind ``_chain_exists``, paused whenever its work runs out.
 
     A greedy dive first: from the largest zero set, take at each step the
     link meeting the running intersection in the most columns; reaching a
@@ -499,20 +549,27 @@ def _chain_exists(
     of sets whose overlaps with every link fill ``_CHAIN_BLOCK`` words; the
     passing (set, link) pairs are deduplicated after the last block, and
     before it whenever more are held than are already distinct, so no array
-    grows with the work cap past the next level, which is charged in full.
-    Past ``work`` (``_CHAIN_WORK`` by default; the dive costs a x links x
-    words, each level frontier x links x words plus the member indices it
-    sorts), past ``deadline``, read once per block, or past ``_CHAIN_SETS``
-    sets in a level, the answer is True, which is sound for a prune.
+    grows with the work granted past the next level, which is charged in
+    full.
+
+    Prime it with ``next`` and send it units of work.  The dive costs a x
+    links x words, each level frontier x links x words plus the member
+    indices it sorts.  Where the work spent would pass the work granted, the
+    walk yields True ("may extend") and waits, holding its state, for the
+    next grant; so the walk fed grants w1..wk stops exactly where one grant
+    of w1 + ... + wk would.  Its return value is the answer.  Past
+    ``deadline``, read once per block, or past ``_CHAIN_SETS`` sets in a
+    level, it returns True.
     """
+    work = yield None
     k, words = zeros.shape
     if k < a:
         return False
     if a <= 0:
         return True
-    work = (_CHAIN_WORK if work is None else work) - a * k * words
-    if work < 0:
-        return True
+    work -= a * k * words
+    while work < 0:
+        work += yield True
     counts = sizes = np.bitwise_count(zeros).sum(axis=1, dtype=np.int64)
     inter = ~np.zeros(words, np.uint64)
     used = np.zeros(k, bool)
@@ -534,8 +591,8 @@ def _chain_exists(
         if not f:
             return False
         work -= f * k * words
-        if work < 0:
-            return True
+        while work < 0:
+            work += yield True
         # The next level's (set, link) pairs as parts (rows, ys), the first
         # of them deduplicated each time the others hold more pairs than it
         # and than a block has sets.
@@ -553,8 +610,8 @@ def _chain_exists(
                 continue
             rows, ys = np.nonzero(passing)
             work -= len(rows) * (s + 1)
-            if work < 0:
-                return True
+            while work < 0:
+                work += yield True
             parts.append((rows + b, ys))
             held += len(rows)
             if b + step >= f or held - distinct > max(distinct, step):
@@ -563,11 +620,13 @@ def _chain_exists(
                 first = _first_of_each(grown, k)
                 grown, parts = grown[first], [(rows[first], ys[first])]
                 held = distinct = len(first)
-                # The next level costs its size x links x words: answer now
-                # when that is past the work left or the size past
-                # ``_CHAIN_SETS``.
-                if distinct > min(work // (k * words), _CHAIN_SETS):
+                # The next level costs its size x links x words: past
+                # ``_CHAIN_SETS`` sets answer now, and past the work left
+                # wait for more.
+                if distinct > _CHAIN_SETS:
                     return True
+                while distinct * k * words > work:
+                    work += yield True
         if s == a - 1:
             return False
         members, inter = grown, inter[parts[0][0]] & zeros[parts[0][1]]
@@ -666,22 +725,26 @@ def _urm_search(
 
     Depth-first over an explicit stack, so a deep sequence cannot hit the
     interpreter's recursion limit; the deadline is read at every node and
-    inside ``_may_extend``.
+    inside ``_may_extend`` and the root walk.
 
-    Most of a search proves an incumbent already found, so each time the
-    search has gone ``_ROOT_AFTER``, twice that, four times that, ... nodes
-    since the incumbent last rose, it re-asks the root's prune whether any
-    ``best + 1`` rows form a triangular sequence, with chains of
-    ``_ROOT_CHAIN`` rows and a work cap of ``_ROOT_WORK`` per stalled node
-    and distinct row; "no" completes the search.  The first such walk past
-    ``_BEAM_AFTER`` nodes that answers "may extend" is followed by one
-    ``_beam`` of ``_BEAM_WIDTH`` unions per level, floored at the
-    incumbent: a primal heuristic that often reaches the optimum the
-    depth-first order finds late.  Its sequence becomes the incumbent when
-    it is longer, and the stall count restarts.
+    Most of a search proves an incumbent already found, so the search keeps
+    one ``_root_walk`` per incumbent, asking whether any ``best + 1`` rows
+    form a triangular sequence, with chains of ``_ROOT_CHAIN`` rows.  Each
+    time the search has gone ``_ROOT_AFTER``, twice that, four times that,
+    ... nodes since the incumbent last rose, it grants that walk
+    ``_ROOT_WORK`` units per stalled node and distinct row: a walk that ran
+    out of work resumes where it paused, so no grant redoes the work of the
+    ones before it.  "No" completes the search; a rise of the incumbent
+    drops the walk, and the next stall point starts one for the new need.
+    The first stall point past ``_BEAM_AFTER`` nodes whose walk answers
+    "may extend" is followed by one ``_beam`` of ``_BEAM_WIDTH`` unions per
+    level, floored at the incumbent: a primal heuristic that often reaches
+    the optimum the depth-first order finds late.  Its sequence becomes the
+    incumbent when it is longer, and the stall count restarts.
     The beam reads the search's deadline once per level, and is skipped when
-    value bitmasks are given.  The schedule, the cap and the beam's trigger
-    read node counts only, so the nodes a search spends stay deterministic.
+    value bitmasks are given.  The schedule, the grants and the beam's
+    trigger read node counts only, so the nodes a search spends stay
+    deterministic.
 
     A node makes one pass over its candidate rows, building each live row's
     fresh columns, their count c and the union U of them, which is all the
@@ -721,14 +784,15 @@ def _urm_search(
     best_seq: list[tuple[int, int]] | None = None
     visited: dict[int, int] = {}
     nodes = 0
-    # The root's live rows and union, for re-asking its prune while the
-    # incumbent stalls: ``risen`` is the node at which it last rose, and the
-    # next root walk runs when the stall reaches ``stall``.
+    # The root's live rows and union, for its prune while the incumbent
+    # stalls: ``risen`` is the node at which it last rose, ``walk`` the root
+    # walk for best + 1 (None until the first stall point after the rise),
+    # and the walk's next grant comes when the stall reaches ``stall``.
     root = [(mask.bit_count(), idx, mask, mask) for mask, idx in rows]
     root_union = 0
     for mask, _ in rows:
         root_union |= mask
-    risen, stall = 0, _ROOT_AFTER
+    risen, stall, walk = 0, _ROOT_AFTER, None
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
     # Frames of the nodes being expanded: (B, UR, depth, candidates for the
     # children, iterator over the children not yet tried).  A candidate is
@@ -745,18 +809,20 @@ def _urm_search(
         if depth > best:
             best = depth
             best_seq = seq.copy()
-            risen, stall = nodes, _ROOT_AFTER
+            risen, stall, walk = nodes, _ROOT_AFTER, None
         elif nodes - risen == stall:
-            work = _ROOT_WORK * stall * len(rows)
-            stall *= 2
-            if not _may_extend(root, root_union, best + 1, _ROOT_CHAIN, deadline, work):
+            if walk is None:
+                walk = _root_walk(root, root_union, best + 1, deadline)
+                next(walk)
+            if not walk.send(_ROOT_WORK * stall * len(rows)):
                 return best, best_seq, True
+            stall *= 2
             if beam_due and nodes >= _BEAM_AFTER:
                 beam_due = False
                 value, beam_seq = _beam(rows, n, _BEAM_WIDTH, deadline, best)
                 if value > best:
                     best, best_seq = value, beam_seq
-                    risen, stall = nodes, _ROOT_AFTER
+                    risen, stall, walk = nodes, _ROOT_AFTER, None
         prev = visited.get(B | UR)
         if prev is None or prev < depth:
             visited[B | UR] = depth

@@ -32,9 +32,11 @@ from vrank.engine import (
     _beam,
     _certificate_from_sequence,
     _chain_exists,
+    _chain_walk,
     _first_of_each,
     _may_extend,
     _packed,
+    _root_walk,
     greedy_lower_bound,
     is_visibly_full_rank,
     triangular_certificate,
@@ -702,10 +704,51 @@ class TestChain:
             live = [(f.bit_count(), i, f, f) for i, f in enumerate(fresh)]
             zeros = [union & ~f for f in fresh]
             need = int(rng.integers(0, union.bit_count() + 2))
+            roomy = len(live) >= need and union.bit_count() >= need
             for a in (2, 6):
-                roomy = len(live) >= need and union.bit_count() >= need
                 expected = roomy and (need < 3 or brute_chain(zeros, need, min(a, need)))
                 assert _may_extend(live, union, need, a, None) == expected, (fresh, need, a)
+            # The root walk seeks chains of ``_ROOT_CHAIN`` rows, and a
+            # finished walk repeats its answer.
+            a = min(engine._ROOT_CHAIN, need)
+            expected = roomy and (need < 3 or brute_chain(zeros, need, a))
+            walk = _root_walk(live, union, need, None)
+            next(walk)
+            assert walk.send(10**9) == walk.send(1) == expected, (fresh, need)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_resumed_walk_matches_one_grant(self, seed):
+        # Single- and multi-word zero sets, each walk fed one to eight small
+        # grants: after each grant it answers as one grant of their sum
+        # would, a pause counting as "may extend", and a walk that finishes
+        # False has proven that no chain exists.
+        rng = rng_for(600 + seed)
+        resumed = []
+        for _ in range(300):
+            width = int(rng.choice([rng.integers(3, 11), rng.integers(65, 201)]))
+            density = float(rng.choice([0.5, 0.7, 0.85] if width < 64 else [0.9, 0.95, 0.99]))
+            zeros = random_zero_sets(rng, width, int(rng.integers(0, 9)), density)
+            a = int(rng.integers(0, 6))
+            need = int(rng.integers(-2, width + 3))
+            links = chain_links(zeros, width)
+            walk = _chain_walk(links, need, a, None)
+            next(walk)
+            total, paused = 0, False
+            for _ in range(int(rng.integers(1, 9))):
+                grant = int(rng.integers(0, 3 * links.size + 1))
+                total += grant
+                try:
+                    answer, finished = walk.send(grant), False
+                except StopIteration as done:
+                    answer, finished = done.value, True
+                assert answer == _chain_exists(links, need, a, work=total), (zeros, need, a)
+                if finished:
+                    assert answer or not brute_chain(zeros, need, a), (zeros, need, a)
+                    resumed.append((paused, answer))
+                    break
+                paused = True
+        # Some walks paused, resumed and then finished, either way.
+        assert (True, True) in resumed and (True, False) in resumed
 
     def test_later_link_kept(self):
         # Thresholds 3, 2, 1: z3 meets z1 and z2 in one column each, too few
@@ -755,6 +798,36 @@ class TestChain:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_held_walk_bounded(self):
+        # The links and cap of ``test_work_cap_bounds_the_blocked_walk``,
+        # granted in 250 pieces of 20,000 units with the walk held between
+        # them, paused between two levels or inside one: it answers "may
+        # extend" to each and stays under the same memory gate.
+        links = chain_links(missing_pairs(128))
+        walk = _chain_walk(links, 256 - 5, 6, None)
+        next(walk)
+        tracemalloc.start()
+        try:
+            assert all(walk.send(20_000) for _ in range(250))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_deadline_passed_between_grants(self):
+        # No chain of six exists here, which the walk proves when granted
+        # enough at once; a deadline that passes while it is paused before
+        # its dive ends it with "may extend" at its first block.
+        links = chain_links(missing_pairs(7))
+        assert not _chain_exists(links, 14 - 5, 6, work=10**9)
+        walk = _chain_walk(links, 14 - 5, 6, time.monotonic() + 0.2)
+        next(walk)
+        assert walk.send(1)
+        time.sleep(0.25)
+        with pytest.raises(StopIteration) as done:
+            walk.send(10**9)
+        assert done.value.value is True
+
     def test_deadline_read_inside_a_level(self):
         # Any two of these links meet in width - 4 = need - 2 columns and no
         # three in need - 3, so the walk answers False after testing each of
@@ -774,6 +847,22 @@ class TestChain:
         # per-node prunes alone take 1788.
         H = gen_drgp(64, 2, 0)
         res = visible_rank_exact(H, node_budget=1100)
+        assert res.exact and res.certificate.verify(H)
+        assert res.upper_provenance == PROV_EXACT
+
+    @pytest.mark.parametrize(
+        "make, budget", [(lambda: gen_drgp(64, 2, 0), 600), (lambda: gen_drgp(32, 2, 0), 120)],
+        ids=["drgp64", "drgp32"],
+    )
+    def test_resumed_root_walk_node_count(self, make, budget):
+        # Resumed across stall points instead of restarted with a doubled
+        # cap, the root walk has about twice the work at each stall point
+        # and proves DRGP-64's optimum at 544 nodes.  DRGP-32's incumbent
+        # rises after a walk has started, and the walk for the new need
+        # proves it at 90 nodes; the old need's walk could never prove it,
+        # and the search would take 258.
+        H = make()
+        res = visible_rank_exact(H, node_budget=budget)
         assert res.exact and res.certificate.verify(H)
         assert res.upper_provenance == PROV_EXACT
 
@@ -813,18 +902,19 @@ class TestRootProof:
 
     @pytest.fixture
     def root_walks(self, monkeypatch):
-        # Records the answer of every root walk (the calls given a work cap).
+        # Records the answer of every root walk to every grant.
         monkeypatch.setattr(engine, "_ROOT_AFTER", 1)
         answers = []
-        may_extend = engine._may_extend
+        root_walk = engine._root_walk
 
-        def recording(live, union, need, a, deadline, work=None):
-            answer = may_extend(live, union, need, a, deadline, work)
-            if work is not None:
-                answers.append(answer)
-            return answer
+        def recording(live, union, need, deadline):
+            walk = root_walk(live, union, need, deadline)
+            work = yield next(walk)
+            while True:
+                answers.append(walk.send(work))
+                work = yield answers[-1]
 
-        monkeypatch.setattr(engine, "_may_extend", recording)
+        monkeypatch.setattr(engine, "_root_walk", recording)
         return answers
 
     @pytest.mark.parametrize("seed", range(4))
