@@ -421,7 +421,7 @@ def main(argv=None) -> int:
             if (getattr(args, flag, None) or 0) < 0:
                 raise stencil.StencilError(f"--{flag.replace('_', '-')} must be >= 0")
         return args.func(args)
-    except (stencil.StencilError, gf.FieldError, OSError, json.JSONDecodeError) as exc:
+    except (stencil.StencilError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -11,6 +11,7 @@ only state, memoizing the best depth at which each union was reached.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass
@@ -434,7 +435,7 @@ def _may_extend(
     union: int,
     need: int,
     a: int,
-    deadline: float | None,
+    deadline: float,
 ) -> bool:
     """False when no triangular sequence continuing the node adds ``need`` rows.
 
@@ -446,7 +447,8 @@ def _may_extend(
     U share at least need - s columns: a zero-rectangle bound on the
     residual stencil, checked for every s <= a when need >= 3.  For a = 2 a
     pair test over Python ints answers, within ``_CHAIN_WORK``; longer
-    chains go to ``_chain_exists`` with the zero sets of ``_chain_links``.
+    chains get one ``_grant`` of ``_CHAIN_WORK`` to a ``_chain_walk`` over
+    the zero sets of ``_chain_links``.
     """
     size = union.bit_count()
     if len(live) < need or size < need:
@@ -455,13 +457,15 @@ def _may_extend(
         return True
     a = min(a, need)
     if a > 2:
-        return _chain_exists(_chain_links(live, union, need, a), need, a, deadline)
+        walk = _chain_walk(_chain_links(live, union, need, a), need, a, deadline)
+        next(walk)
+        return _grant(walk, _CHAIN_WORK)
     zeros = [union & ~f for c, _, _, f in live if size - c >= need - 2]
     budget = _CHAIN_WORK
     for z in zeros:
         if z.bit_count() >= need - 1:
             budget -= len(zeros)
-            if budget < 0 or (deadline is not None and time.monotonic() > deadline):
+            if budget < 0 or time.monotonic() > deadline:
                 return True
             # z meets itself in |z| >= need - 2 columns, so a second link is
             # a second hit.
@@ -483,59 +487,41 @@ def _chain_links(
     return words[-1] & ~words[:-1]
 
 
-def _root_walk(
-    live: list[tuple[int, int, int, int]],
-    union: int,
-    need: int,
-    deadline: float | None,
-) -> Generator[bool | None, int, None]:
-    """``_may_extend`` at the search's root with chains of ``_ROOT_CHAIN``
-    rows, as one walk the search resumes while the incumbent stalls.
-
-    Prime it with ``next``; then each number of work units sent to it
-    answers False when no sequence of ``need`` rows exists, and True while
-    the walk is paused for more work or has ended without a proof.  The
-    walk fed grants w1..wk answers as ``_may_extend`` capped at w1 + ... +
-    wk, without redoing the work of the earlier grants.  A finished walk
-    repeats its answer.
-    """
-    if len(live) < need or union.bit_count() < need:
-        answer = False
-    elif need < 3:
-        answer = True
-    else:
-        a = min(_ROOT_CHAIN, need)
-        answer = yield from _chain_walk(_chain_links(live, union, need, a), need, a, deadline)
-    while True:
-        yield answer
-
-
-def _chain_exists(
-    zeros: np.ndarray,
-    need: int,
-    a: int,
-    deadline: float | None = None,
-    work: int | None = None,
-) -> bool:
-    """True when some a distinct rows z_1..z_a of ``zeros``, zero sets packed
-    as ``_packed`` packs them, have |z_1 & ... & z_s| >= need - s for every
-    s <= a: ``_chain_walk`` granted ``work`` units once (``_CHAIN_WORK`` by
-    default), a pause answering True, which is sound for a prune."""
-    walk = _chain_walk(zeros, need, a, deadline)
+def _root_chain(
+    live: list[tuple[int, int, int, int]], union: int, need: int, deadline: float
+) -> Generator[bool | None, int, bool]:
+    """The primed ``_chain_walk`` the search holds at its root, for chains of
+    min(``_ROOT_CHAIN``, need) rows.  It repeats none of ``_may_extend``'s
+    guards: the root node checks its row and column counts, and every later
+    node checks them again for its own need."""
+    a = min(_ROOT_CHAIN, need)
+    walk = _chain_walk(_chain_links(live, union, need, a), need, a, deadline)
     next(walk)
+    return walk
+
+
+def _grant(walk: Generator[bool | None, int, bool], work: int) -> bool:
+    """Send ``work`` units to the primed ``_chain_walk`` ``walk``: False only
+    when the walk ends with a proof that no chain exists, True ("may
+    extend") while it is paused for more work and once it has ended without
+    a proof.  A walk that has ended answers True to any later grant, its
+    ``StopIteration`` carrying None; so a caller must not grant a walk again
+    after it answered False."""
     try:
-        return walk.send(_CHAIN_WORK if work is None else work)
+        return walk.send(work)
     except StopIteration as done:
-        return done.value
+        return done.value is not False
 
 
 def _chain_walk(
     zeros: np.ndarray,
     need: int,
     a: int,
-    deadline: float | None,
+    deadline: float,
 ) -> Generator[bool | None, int, bool]:
-    """The walk behind ``_chain_exists``, paused whenever its work runs out.
+    """True when some a distinct rows z_1..z_a of ``zeros``, zero sets
+    packed as ``_packed`` packs them, have |z_1 & ... & z_s| >= need - s for
+    every s <= a; a walk paused whenever its work runs out.
 
     A greedy dive first: from the largest zero set, take at each step the
     link meeting the running intersection in the most columns; reaching a
@@ -598,7 +584,7 @@ def _chain_walk(
         # and than a block has sets.
         parts, held, distinct = [], 0, 0
         for b in range(0, f, step):
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return True
             counts = np.bitwise_count(inter[b:b + step, None, :] & zeros)
             counts = counts.sum(axis=2, dtype=np.int64) if words > 1 else counts[:, :, 0]
@@ -649,7 +635,7 @@ def _beam(
     rows: list[tuple[int, int]],
     n: int,
     width: int,
-    deadline: float | None,
+    deadline: float,
     floor: int = 0,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Beam search over triangular row sequences of the (mask, index) rows
@@ -673,7 +659,7 @@ def _beam(
     union = np.dtype((np.void, 8 * words))  # one sortable key per union
     level, sizes = np.zeros((1, words), np.uint64), np.zeros((1, 1), dtype)
     steps = []  # the (parents, rows) of each level's unions
-    while deadline is None or time.monotonic() <= deadline:
+    while time.monotonic() <= deadline:
         fresh = np.bitwise_count(packed & ~level[:, None, :]).sum(axis=2, dtype=dtype)
         counts = sizes + fresh
         counts[fresh == 0] = absent
@@ -724,17 +710,18 @@ def _urm_search(
     """Core search.  Returns (best, improving sequence or None, completed).
 
     Depth-first over an explicit stack, so a deep sequence cannot hit the
-    interpreter's recursion limit; the deadline is read at every node and
-    inside ``_may_extend`` and the root walk.
+    interpreter's recursion limit; the deadline, +inf without a
+    ``time_budget``, is read at every node and inside ``_may_extend``, the
+    root walk and the beam.
 
-    Most of a search proves an incumbent already found, so the search keeps
-    one ``_root_walk`` per incumbent, asking whether any ``best + 1`` rows
-    form a triangular sequence, with chains of ``_ROOT_CHAIN`` rows.  Each
-    time the search has gone ``_ROOT_AFTER``, twice that, four times that,
-    ... nodes since the incumbent last rose, it grants that walk
-    ``_ROOT_WORK`` units per stalled node and distinct row: a walk that ran
-    out of work resumes where it paused, so no grant redoes the work of the
-    ones before it.  "No" completes the search; a rise of the incumbent
+    Most of a search proves an incumbent already found, so the search holds
+    one ``_root_chain`` walk per incumbent, asking whether any ``best + 1``
+    rows form a triangular sequence.  Each time the search has gone
+    ``_ROOT_AFTER``, twice that, four times that, ... nodes since the
+    incumbent last rose, it grants that walk ``_ROOT_WORK`` units per
+    stalled node and distinct row through ``_grant``: a walk that ran out of
+    work resumes where it paused, so no grant redoes the work of the ones
+    before it.  "No" completes the search; a rise of the incumbent
     drops the walk, and the next stall point starts one for the new need.
     The first stall point past ``_BEAM_AFTER`` nodes whose walk answers
     "may extend" is followed by one ``_beam`` of ``_BEAM_WIDTH`` unions per
@@ -750,7 +737,7 @@ def _urm_search(
     fresh columns, their count c and the union U of them, which is all the
     ``_may_extend`` prune reads: chains of length ``_LONG_CHAIN`` at shallow
     nodes of a large search, sought by the greedy dive and the level walk of
-    ``_chain_exists`` over zero sets packed from the fresh masks, and pairs
+    ``_chain_walk`` over zero sets packed from the fresh masks, and pairs
     (``_SHORT_CHAIN``) elsewhere, tested on the masks themselves.  A node
     the prune keeps picks a forced move in its own candidate order, and
     passes that order on; otherwise one sort by (c, index) orders its
@@ -762,7 +749,7 @@ def _urm_search(
     row drops the rows sharing its values from the candidates below it and
     adds them, shifted past the n columns, to UR, and the memo key is
     B | UR.  The forced move needs a row and a column without values."""
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
     beam_due = not (row_vals or col_vals)
     row_vals = [v << n for v in row_vals] if row_vals else [0] * len(masks)
     # The columns each pivot column blocks: those sharing one of its values.
@@ -804,7 +791,7 @@ def _urm_search(
     B, UR, depth, cands = 0, 0, 0, rows
     while True:
         nodes += 1
-        if nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
+        if nodes > node_budget or time.monotonic() > deadline:
             return best, best_seq, False
         if depth > best:
             best = depth
@@ -812,9 +799,8 @@ def _urm_search(
             risen, stall, walk = nodes, _ROOT_AFTER, None
         elif nodes - risen == stall:
             if walk is None:
-                walk = _root_walk(root, root_union, best + 1, deadline)
-                next(walk)
-            if not walk.send(_ROOT_WORK * stall * len(rows)):
+                walk = _root_chain(root, root_union, best + 1, deadline)
+            if not _grant(walk, _ROOT_WORK * stall * len(rows)):
                 return best, best_seq, True
             stall *= 2
             if beam_due and nodes >= _BEAM_AFTER:

@@ -8,6 +8,7 @@ desk scale beats shipping everything through numpy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -167,7 +168,7 @@ def minrank_bruteforce(
     met the floor or all (p-1)^|free| matrices were evaluated.
     """
     _check_prime(p)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
     stars = H.stars()
     grid = [[0] * H.n for _ in range(H.m)]
     for i, j in stars:
@@ -198,7 +199,7 @@ def minrank_bruteforce(
             row[j] = 1
         else:
             break
-        if evaluated >= budget or (deadline is not None and time.monotonic() > deadline):
+        if evaluated >= budget or time.monotonic() > deadline:
             break
     witness = WitnessMatrix(p, tuple(tuple(row) for row in best_grid), H)
     exhaustive = best_val <= floor_rank or evaluated == top ** len(free)

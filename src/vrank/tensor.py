@@ -220,7 +220,7 @@ def _power_searches(
     ``w`` is known, given the upper bound w^k, which closes it without a
     search once the seed meets it.  All levels share the one deadline
     ``time_budget`` sets."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
     res1 = res = visible_rank_exact(
         H, node_budget=node_budget, time_budget=time_budget, upper=w
     )
@@ -229,7 +229,7 @@ def _power_searches(
     for k in range(2, k_max + 1):
         if not _fits(H, k, max_entries):
             return
-        remaining = None if deadline is None else deadline - time.monotonic()
+        remaining = deadline - time.monotonic()
         seed = tensor_certificate(Hk, res.certificate, H, res1.certificate)
         Hk = tensor_product(Hk, H, max_entries=max_entries)
         res = visible_rank_exact(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -31,12 +32,11 @@ from vrank.engine import (
     DiagonalCertificate,
     _beam,
     _certificate_from_sequence,
-    _chain_exists,
     _chain_walk,
     _first_of_each,
+    _grant,
     _may_extend,
     _packed,
-    _root_walk,
     greedy_lower_bound,
     is_visibly_full_rank,
     triangular_certificate,
@@ -292,6 +292,22 @@ class TestExact:
         assert zero_rectangle_bound(H) < max_matching_size(H)
         assert res.upper_bound == zero_rectangle_bound(H)
         assert res.upper_provenance == PROV_ZERO_RECT
+
+    @pytest.mark.parametrize(
+        "rows, n, value",
+        [([0b11, 0b11], 2, 1), ([0b1111] * 4, 4, 1), ([0b011, 0b011, 0b110, 0b110], 3, 2)],
+        ids=["pair", "all-star", "two-pairs"],
+    )
+    def test_duplicate_rows_closed_at_the_root(self, rows, n, value):
+        # Duplicate rows put the matching bound above the greedy value, which
+        # is the number of distinct rows: the root node's own guards (fewer
+        # live rows, or fewer columns, than need) prove it at the first node,
+        # with no root walk.
+        H = Stencil.from_rows(rows, n)
+        assert greedy_lower_bound(H)[0] == value < max_matching_size(H)
+        res = visible_rank_exact(H, node_budget=1)
+        assert res.exact and res.lower_bound == value
+        assert res.upper_provenance == PROV_EXACT and res.certificate.verify(H)
 
     def test_time_budget_kept(self):
         # No search proves this one within 20 s; LCC-128 now completes in
@@ -616,8 +632,18 @@ class TestGolden:
 
 
 def chain_links(zeros: list[int], width: int | None = None) -> np.ndarray:
-    """The zero sets packed as ``_chain_exists`` reads them."""
+    """The zero sets packed as ``_chain_walk`` reads them."""
     return _packed(zeros, width or max((z.bit_length() for z in zeros), default=1))
+
+
+def chain_exists(
+    zeros: np.ndarray, need: int, a: int, deadline: float = math.inf, work: int | None = None
+) -> bool:
+    """``_chain_walk`` granted ``work`` units once (``_CHAIN_WORK`` by
+    default), as ``_may_extend`` grants it: a pause answers True."""
+    walk = _chain_walk(zeros, need, a, deadline)
+    next(walk)
+    return _grant(walk, engine._CHAIN_WORK if work is None else work)
 
 
 def random_zero_sets(rng, width: int, count: int, density: float) -> list[int]:
@@ -648,7 +674,7 @@ class TestChain:
             a = int(rng.integers(0, 5))
             need = int(rng.integers(0, width + 3))
             expected = brute_chain(zeros, need, a)
-            assert _chain_exists(chain_links(zeros, width), need, a) == expected, (zeros, need, a)
+            assert chain_exists(chain_links(zeros, width), need, a) == expected, (zeros, need, a)
             outcomes.append(expected)
         assert any(outcomes) and not all(outcomes)
 
@@ -667,7 +693,7 @@ class TestChain:
             a = int(rng.integers(0, 7))
             need = int(rng.choice([rng.integers(-2, 1), rng.integers(width // 2, width + 3)]))
             expected = brute_chain(zeros, need, a)
-            assert _chain_exists(chain_links(zeros, width), need, a) == expected, (zeros, need, a)
+            assert chain_exists(chain_links(zeros, width), need, a) == expected, (zeros, need, a)
             outcomes.append(expected)
         assert any(outcomes) and not all(outcomes)
 
@@ -686,13 +712,15 @@ class TestChain:
     )
     def test_edge_cases(self, zeros, need, a, expected):
         assert brute_chain(zeros, need, a) == expected
-        assert _chain_exists(chain_links(zeros, 80), need, a) == expected
+        assert chain_exists(chain_links(zeros, 80), need, a) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_may_extend_matches_brute_force(self, seed):
         # The node-level prune on rows given by their fresh columns: the
         # a = 2 pair test over Python ints and the packed walk for a = 6
-        # both agree with the oracle on the zero sets U & ~fresh.
+        # both agree with the oracle on the zero sets U & ~fresh.  The root
+        # walk, with none of the prune's guards, agrees with the oracle
+        # alone for every need >= 1.
         rng = rng_for(200 + seed)
         for _ in range(40):
             width = int(rng.integers(3, 80))
@@ -707,14 +735,14 @@ class TestChain:
             roomy = len(live) >= need and union.bit_count() >= need
             for a in (2, 6):
                 expected = roomy and (need < 3 or brute_chain(zeros, need, min(a, need)))
-                assert _may_extend(live, union, need, a, None) == expected, (fresh, need, a)
+                assert _may_extend(live, union, need, a, math.inf) == expected, (fresh, need, a)
             # The root walk seeks chains of ``_ROOT_CHAIN`` rows, and a
-            # finished walk repeats its answer.
-            a = min(engine._ROOT_CHAIN, need)
-            expected = roomy and (need < 3 or brute_chain(zeros, need, a))
-            walk = _root_walk(live, union, need, None)
-            next(walk)
-            assert walk.send(10**9) == walk.send(1) == expected, (fresh, need)
+            # finished walk answers True to a second grant.
+            if need >= 1:
+                expected = brute_chain(zeros, need, min(engine._ROOT_CHAIN, need))
+                walk = engine._root_chain(live, union, need, math.inf)
+                assert _grant(walk, 10**9) == expected, (fresh, need)
+                assert _grant(walk, 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_resumed_walk_matches_one_grant(self, seed):
@@ -731,7 +759,7 @@ class TestChain:
             a = int(rng.integers(0, 6))
             need = int(rng.integers(-2, width + 3))
             links = chain_links(zeros, width)
-            walk = _chain_walk(links, need, a, None)
+            walk = _chain_walk(links, need, a, math.inf)
             next(walk)
             total, paused = 0, False
             for _ in range(int(rng.integers(1, 9))):
@@ -741,7 +769,7 @@ class TestChain:
                     answer, finished = walk.send(grant), False
                 except StopIteration as done:
                     answer, finished = done.value, True
-                assert answer == _chain_exists(links, need, a, work=total), (zeros, need, a)
+                assert answer == chain_exists(links, need, a, work=total), (zeros, need, a)
                 if finished:
                     assert answer or not brute_chain(zeros, need, a), (zeros, need, a)
                     resumed.append((paused, answer))
@@ -755,17 +783,30 @@ class TestChain:
         # for the second link, yet it is the third in z1, z2, z3.
         zeros = [0b0111, 0b1011, 0b0001]
         assert brute_chain(zeros, 4, 3)
-        assert _chain_exists(chain_links(zeros), 4, 3)
-        assert not _chain_exists(chain_links(zeros), 5, 3)
+        assert chain_exists(chain_links(zeros), 4, 3)
+        assert not chain_exists(chain_links(zeros), 5, 3)
 
     def test_work_cap_and_deadline_answer_may_extend(self, monkeypatch):
         # No chain of three: the pair z1, z2 has no third link.  Giving up
         # answers True, which only keeps a node the check could have cut.
         links = chain_links([0b0111, 0b1011, 0b1100])
-        assert not _chain_exists(links, 4, 3)
-        assert _chain_exists(links, 4, 3, deadline=time.monotonic() - 1)
+        assert not chain_exists(links, 4, 3)
+        assert chain_exists(links, 4, 3, deadline=time.monotonic() - 1)
         monkeypatch.setattr(engine, "_CHAIN_WORK", 0)
-        assert _chain_exists(links, 4, 3)
+        assert chain_exists(links, 4, 3)
+
+    def test_pair_test_gives_up_as_may_extend(self, monkeypatch):
+        # Need 3 over U = 4 columns: the zero sets {0, 1} and {2, 3} are
+        # links of size need - 1 with no second hit, and the all-star row is
+        # no link, so the pair test answers False; past its deadline or out
+        # of work it answers True.
+        fresh = [0b1100, 0b0011, 0b1111]
+        live = [(f.bit_count(), i, f, f) for i, f in enumerate(fresh)]
+        assert not brute_chain([0b1111 & ~f for f in fresh], 3, 2)
+        assert not _may_extend(live, 0b1111, 3, 2, math.inf)
+        assert _may_extend(live, 0b1111, 3, 2, time.monotonic() - 1)
+        monkeypatch.setattr(engine, "_CHAIN_WORK", 0)
+        assert _may_extend(live, 0b1111, 3, 2, math.inf)
 
     def test_work_cap_bounds_the_walk(self):
         # Link i misses columns 2i and 2i + 1, so any s of the 128 links meet
@@ -775,11 +816,11 @@ class TestChain:
         # link, 33 MB of intersections, and C(128, 3) triples after them;
         # the work cap answers "may extend" first.
         assert not brute_chain(missing_pairs(7), 14 - 5, 6)
-        assert not _chain_exists(chain_links(missing_pairs(7)), 14 - 5, 6)
+        assert not chain_exists(chain_links(missing_pairs(7)), 14 - 5, 6)
         links = chain_links(missing_pairs(128))
         tracemalloc.start()
         try:
-            assert _chain_exists(links, 256 - 5, 6)
+            assert chain_exists(links, 256 - 5, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -792,7 +833,7 @@ class TestChain:
         links = chain_links(missing_pairs(128))
         tracemalloc.start()
         try:
-            assert _chain_exists(links, 256 - 5, 6, work=5_000_000)
+            assert chain_exists(links, 256 - 5, 6, work=5_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -804,7 +845,7 @@ class TestChain:
         # them, paused between two levels or inside one: it answers "may
         # extend" to each and stays under the same memory gate.
         links = chain_links(missing_pairs(128))
-        walk = _chain_walk(links, 256 - 5, 6, None)
+        walk = _chain_walk(links, 256 - 5, 6, math.inf)
         next(walk)
         tracemalloc.start()
         try:
@@ -819,7 +860,7 @@ class TestChain:
         # enough at once; a deadline that passes while it is paused before
         # its dive ends it with "may extend" at its first block.
         links = chain_links(missing_pairs(7))
-        assert not _chain_exists(links, 14 - 5, 6, work=10**9)
+        assert not chain_exists(links, 14 - 5, 6, work=10**9)
         walk = _chain_walk(links, 14 - 5, 6, time.monotonic() + 0.2)
         next(walk)
         assert walk.send(1)
@@ -835,11 +876,11 @@ class TestChain:
         # which takes longer than the budget below (0.8 s on a 2-vCPU Xeon);
         # under an unbounded cap only the deadline, read per block, stops it.
         assert not brute_chain(missing_pairs(8, 24), 22, 3)
-        assert not _chain_exists(chain_links(missing_pairs(8, 24)), 22, 3)
+        assert not chain_exists(chain_links(missing_pairs(8, 24)), 22, 3)
         assert engine._CHAIN_SETS >= 256 * 255 // 2
         links = chain_links(missing_pairs(256, 1024))
         start = time.monotonic()
-        assert _chain_exists(links, 1022, 3, deadline=start + 0.1, work=10**12)
+        assert chain_exists(links, 1022, 3, deadline=start + 0.1, work=10**12)
         assert time.monotonic() - start < 0.1 + 0.5
 
     def test_drgp64_root_walk_node_count(self):
@@ -902,19 +943,24 @@ class TestRootProof:
 
     @pytest.fixture
     def root_walks(self, monkeypatch):
-        # Records the answer of every root walk to every grant.
+        # Records the answer of every root walk to every grant; the search
+        # stops granting a walk once it answers False.
         monkeypatch.setattr(engine, "_ROOT_AFTER", 1)
         answers = []
-        root_walk = engine._root_walk
+        root_chain = engine._root_chain
 
-        def recording(live, union, need, deadline):
-            walk = root_walk(live, union, need, deadline)
-            work = yield next(walk)
+        def recorded(walk):
+            work = yield
             while True:
-                answers.append(walk.send(work))
+                answers.append(_grant(walk, work))
                 work = yield answers[-1]
 
-        monkeypatch.setattr(engine, "_root_walk", recording)
+        def recording(live, union, need, deadline):
+            walk = recorded(root_chain(live, union, need, deadline))
+            next(walk)
+            return walk
+
+        monkeypatch.setattr(engine, "_root_chain", recording)
         return answers
 
     @pytest.mark.parametrize("seed", range(4))
@@ -972,7 +1018,7 @@ class TestBeam:
             H = random_stencil(rng, m, n, float(rng.choice([0.3, 0.5, 0.7])))
             vrk = brute_vrank(H)
             width, floor = int(rng.choice([1, 2, 32])), int(rng.integers(0, vrk + 1))
-            depth, seq = _beam(beam_rows(H), H.n, width, None, floor)
+            depth, seq = _beam(beam_rows(H), H.n, width, math.inf, floor)
             cert = _certificate_from_sequence(H, seq)
             assert depth == cert.size <= vrk
             assert cert.verify(H)
@@ -983,8 +1029,8 @@ class TestBeam:
     )
     def test_deterministic(self, make):
         H = make()
-        first = _beam(beam_rows(H), H.n, 32, None)
-        assert _beam(beam_rows(H), H.n, 32, None) == first
+        first = _beam(beam_rows(H), H.n, 32, math.inf)
+        assert _beam(beam_rows(H), H.n, 32, math.inf) == first
         assert _certificate_from_sequence(H, first[1]).verify(H)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -996,13 +1042,13 @@ class TestBeam:
         spread = Stencil.from_rows(
             [sum(1 << (3 * j + 2) for j in range(H.n) if mask >> j & 1) for mask in H.rows], 98
         )
-        depth, seq = _beam(beam_rows(H), H.n, 32, None)
-        assert _beam(beam_rows(spread), spread.n, 32, None) == (
+        depth, seq = _beam(beam_rows(H), H.n, 32, math.inf)
+        assert _beam(beam_rows(spread), spread.n, 32, math.inf) == (
             depth, [(i, 3 * j + 2) for i, j in seq]
         )
         assert _certificate_from_sequence(spread, [(i, 3 * j + 2) for i, j in seq]).verify(spread)
         H = gen_lcc(128, 3, 0.05, seed)
-        assert _certificate_from_sequence(H, _beam(beam_rows(H), H.n, 32, None)[1]).verify(H)
+        assert _certificate_from_sequence(H, _beam(beam_rows(H), H.n, 32, math.inf)[1]).verify(H)
 
     def test_deadline_passed(self):
         H = gen_lcc(128, 3, 0.05, 1)
