@@ -262,8 +262,6 @@ def cmd_minrank(args) -> int:
 
 def cmd_witness(args) -> int:
     H = stencil.read_stencil(args.file)
-    if args.construct != "low-rank":
-        return _usage_error(f"unknown construction {args.construct!r}")
     W = gf.low_rank_witness(H, args.field)
     ok, _ = gf.validate_witness(W)
     d = max((((1 << H.n) - 1) & ~mask).bit_count() for mask in H.rows) if H.m else 0
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct an explicit witness")
     p.add_argument("file")
     p.add_argument("--field", type=int, required=True)
-    p.add_argument("--construct", default="low-rank")
+    p.add_argument("--construct", choices=["low-rank"], default="low-rank")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("spanoid", help="symmetric spanoid rank / checks")

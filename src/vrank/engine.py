@@ -392,16 +392,15 @@ def _check_upper(best: int, upper: int | None) -> None:
         raise StencilError(f"a certificate of size {best} exceeds the known upper bound {upper}")
 
 
-#: ``_may_extend`` looks for chains of ``_LONG_CHAIN`` rows at nodes of depth
-#: at most ``_LONG_CHAIN_DEPTH`` once the search has spent
-#: ``_LONG_CHAIN_AFTER`` nodes, and of ``_SHORT_CHAIN`` rows elsewhere.  Only
-#: a search that large has subtrees below its shallow nodes big enough, tens
-#: of child evaluations each, to repay a long chain; in a smaller one it
-#: costs more than it cuts.
-_LONG_CHAIN = 6
+#: ``_may_extend`` looks for chains of min(``_LONG_CHAIN``, need) rows at
+#: nodes of depth at most ``_LONG_CHAIN_DEPTH`` once the search has spent
+#: ``_LONG_CHAIN_AFTER`` nodes, and for pairs elsewhere.  Only a search that
+#: large has subtrees below its shallow nodes big enough, tens of child
+#: evaluations each, to repay a long chain; in a smaller one it costs more
+#: than it cuts.
+_LONG_CHAIN = 10
 _LONG_CHAIN_DEPTH = 2
 _LONG_CHAIN_AFTER = 1000
-_SHORT_CHAIN = 2
 #: Work one chain check at a node may spend before it gives up and answers
 #: "may extend": overlaps computed (per 64-bit word in ``_chain_walk``) and
 #: member indices sorted.
@@ -410,16 +409,16 @@ _CHAIN_WORK = 300_000
 #: pair arrays whatever work it is granted.
 _CHAIN_BLOCK = 1 << 16
 #: The most sets of links one level of ``_chain_walk`` holds.  A per-node
-#: check never reaches it: its levels hold at most min(C(k, s), 300,000 / k)
-#: sets of s of its k links, 17,647 at most (k = 17).
+#: check never holds that many: a level it walks holds at most min(C(k, s),
+#: 300,000 / k) sets of s of its k links, 17,647 at most (k = 17, s = 7 to
+#: 9), and a larger level would cost more than its ``_CHAIN_WORK``.
 _CHAIN_SETS = 1 << 15
-#: While the incumbent stalls, the search grants the root's prune, with need
-#: = incumbent + 1 and chains of ``_ROOT_CHAIN`` rows, ``_ROOT_WORK`` units
-#: of work per stalled node and distinct row each time it has gone
-#: ``_ROOT_AFTER`` x 2^j nodes since the incumbent last rose.  The walk's
-#: cost thus stays within a constant factor of the stalled search it may end.
+#: While the incumbent stalls, the search grants the root's ``_chain`` walk,
+#: with need = incumbent + 1, ``_ROOT_WORK`` units of work per stalled node
+#: and distinct row each time it has gone ``_ROOT_AFTER`` x 2^j nodes since
+#: the incumbent last rose.  The walk's cost thus stays within a constant
+#: factor of the stalled search it may end.
 _ROOT_AFTER = 32
-_ROOT_CHAIN = 10
 _ROOT_WORK = 16
 #: The search runs one ``_beam`` of ``_BEAM_WIDTH`` unions per level, at the
 #: first stall point past ``_BEAM_AFTER`` nodes whose root walk does not
@@ -434,7 +433,7 @@ def _may_extend(
     live: list[tuple[int, int, int, int]],
     union: int,
     need: int,
-    a: int,
+    long: bool,
     deadline: float,
 ) -> bool:
     """False when no triangular sequence continuing the node adds ``need`` rows.
@@ -445,21 +444,17 @@ def _may_extend(
     columns of U, so it needs ``need`` live rows and |U| >= need.  Its first
     s rows have no star on the need - s later pivots, so their zero sets in
     U share at least need - s columns: a zero-rectangle bound on the
-    residual stencil, checked for every s <= a when need >= 3.  For a = 2 a
-    pair test over Python ints answers, within ``_CHAIN_WORK``; longer
-    chains get one ``_grant`` of ``_CHAIN_WORK`` to a ``_chain_walk`` over
-    the zero sets of ``_chain_links``.
+    residual stencil, checked when need >= 3.  A ``long`` check grants the
+    ``_chain`` walk one ``_CHAIN_WORK``; otherwise a pair test over Python
+    ints checks s <= 2, within ``_CHAIN_WORK``.
     """
     size = union.bit_count()
     if len(live) < need or size < need:
         return False
     if need < 3:
         return True
-    a = min(a, need)
-    if a > 2:
-        walk = _chain_walk(_chain_links(live, union, need, a), need, a, deadline)
-        next(walk)
-        return _grant(walk, _CHAIN_WORK)
+    if long:
+        return _grant(_chain(live, union, need, deadline), _CHAIN_WORK)
     zeros = [union & ~f for c, _, _, f in live if size - c >= need - 2]
     budget = _CHAIN_WORK
     for z in zeros:
@@ -474,28 +469,22 @@ def _may_extend(
     return False
 
 
-def _chain_links(
-    live: list[tuple[int, int, int, int]], union: int, need: int, a: int
-) -> np.ndarray:
-    """The zero sets in U of the rows of ``live`` that can be links of an
-    a-chain for ``need``, packed from the fresh masks: inside U a row's zero
-    set is U & ~fresh, of size |U| - c, because mask & U == fresh, and only
-    rows with |U| - c >= need - a can be links."""
-    size = union.bit_count()
-    fresh = [f for c, _, _, f in live if size - c >= need - a]
-    words = _packed(fresh + [union], union.bit_length())
-    return words[-1] & ~words[:-1]
-
-
-def _root_chain(
+def _chain(
     live: list[tuple[int, int, int, int]], union: int, need: int, deadline: float
 ) -> Generator[bool | None, int, bool]:
-    """The primed ``_chain_walk`` the search holds at its root, for chains of
-    min(``_ROOT_CHAIN``, need) rows.  It repeats none of ``_may_extend``'s
-    guards: the root node checks its row and column counts, and every later
-    node checks them again for its own need."""
-    a = min(_ROOT_CHAIN, need)
-    walk = _chain_walk(_chain_links(live, union, need, a), need, a, deadline)
+    """The primed ``_chain_walk`` for chains of a = min(``_LONG_CHAIN``,
+    need) rows of ``live`` (as ``_may_extend`` reads it) at ``need``.  Its
+    links are the zero sets in U of the rows with |U| - c >= need - a,
+    packed from the fresh masks: inside U a row's zero set is U & ~fresh,
+    of size |U| - c, because mask & U == fresh.  It applies none of
+    ``_may_extend``'s guards: that check applies them before its own walk,
+    and the root node before the root walk, which every later node then
+    repeats for its own need."""
+    a = min(_LONG_CHAIN, need)
+    size = union.bit_count()
+    words = _packed([f for c, _, _, f in live if size - c >= need - a] + [union],
+                    union.bit_length())
+    walk = _chain_walk(words[-1] & ~words[:-1], need, a, deadline)
     next(walk)
     return walk
 
@@ -715,7 +704,7 @@ def _urm_search(
     root walk and the beam.
 
     Most of a search proves an incumbent already found, so the search holds
-    one ``_root_chain`` walk per incumbent, asking whether any ``best + 1``
+    one ``_chain`` walk per incumbent, asking whether any ``best + 1``
     rows form a triangular sequence.  Each time the search has gone
     ``_ROOT_AFTER``, twice that, four times that, ... nodes since the
     incumbent last rose, it grants that walk ``_ROOT_WORK`` units per
@@ -735,13 +724,11 @@ def _urm_search(
 
     A node makes one pass over its candidate rows, building each live row's
     fresh columns, their count c and the union U of them, which is all the
-    ``_may_extend`` prune reads: chains of length ``_LONG_CHAIN`` at shallow
-    nodes of a large search, sought by the greedy dive and the level walk of
-    ``_chain_walk`` over zero sets packed from the fresh masks, and pairs
-    (``_SHORT_CHAIN``) elsewhere, tested on the masks themselves.  A node
-    the prune keeps picks a forced move in its own candidate order, and
-    passes that order on; otherwise one sort by (c, index) orders its
-    children and their candidates.
+    ``_may_extend`` prune reads: at shallow nodes of a large search, the
+    same ``_chain`` walk the root holds, granted once; elsewhere, pairs
+    tested on the masks themselves.  A node the prune keeps picks a forced
+    move in its own candidate order, and passes that order on; otherwise one
+    sort by (c, index) orders its children and their candidates.
 
     The value bitmasks ``row_vals`` and ``col_vals`` (all zero by default)
     keep the rows, and the pivot columns, pairwise disjoint in value, as
@@ -799,7 +786,7 @@ def _urm_search(
             risen, stall, walk = nodes, _ROOT_AFTER, None
         elif nodes - risen == stall:
             if walk is None:
-                walk = _root_chain(root, root_union, best + 1, deadline)
+                walk = _chain(root, root_union, best + 1, deadline)
             if not _grant(walk, _ROOT_WORK * stall * len(rows)):
                 return best, best_seq, True
             stall *= 2
@@ -821,8 +808,7 @@ def _urm_search(
                     live.append((fresh.bit_count(), idx, mask, fresh))
                     union |= fresh
             long = depth <= _LONG_CHAIN_DEPTH and nodes > _LONG_CHAIN_AFTER
-            a = _LONG_CHAIN if long else _SHORT_CHAIN
-            if live and _may_extend(live, union, best - depth + 1, a, deadline):
+            if live and _may_extend(live, union, best - depth + 1, long, deadline):
                 # Forced move: a row adding one fresh column can be taken
                 # first without loss when neither of them has values.
                 forced = next((t for t in live if t[0] == 1

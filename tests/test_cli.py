@@ -82,8 +82,8 @@ class TestVrank:
 
     @pytest.mark.parametrize(
         "stars",
-        [[[1, "a"]], [[1]], [5], 5],
-        ids=["non-integer-entry", "short-pair", "not-a-pair", "not-a-list"],
+        [[[1, "a"]], [[1]], [5], 5, [[3, 1]]],
+        ids=["non-integer-entry", "short-pair", "not-a-pair", "not-a-list", "out-of-range"],
     )
     def test_malformed_stars_exit_2(self, capsys, tmp_path, stars):
         p = tmp_path / "h.json"
@@ -125,6 +125,11 @@ class TestVrank:
     def test_malformed_dimensions_exit_2(self, capsys, tmp_path, dims):
         p = tmp_path / "h.json"
         p.write_text(json.dumps({**dims, "stars": []}))
+        assert_input_error(capsys, "vrank", str(p))
+
+    def test_negative_grid_dimensions_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "h.stn"
+        p.write_text("stencil -1 2\n")
         assert_input_error(capsys, "vrank", str(p))
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
@@ -244,6 +249,14 @@ class TestMinrankWitness:
         doc = json.loads(out)
         assert code == 0
         assert doc["rank"] <= doc["max_row_zeros"] + 1
+
+    def test_witness_construction_choices(self, capsys, d3_path):
+        default = run(capsys, "witness", d3_path, "--field", "5")
+        assert run(capsys, "witness", d3_path, "--field", "5", "--construct", "low-rank") == default
+        assert default[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", d3_path, "--field", "5", "--construct", "foo"])
+        assert exc.value.code == 2
 
 
 class TestSpanoid:
@@ -372,6 +385,16 @@ class TestExperiment:
         lines = out.strip().splitlines()
         assert lines[0].rstrip() == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+
+    def test_cli_csv_file(self, capsys, tmp_path):
+        path = str(tmp_path / "out.csv")
+        code, out = run(capsys, "experiment", "--family", "lrc", "--n", "8", "--ell", "2",
+                        "--csv", path)
+        assert code == 0 and json.loads(out) == {"rows": 1, "csv": path}
+        with open(path, newline="", encoding="ascii") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == CSV_COLUMNS and len(lines) == 2
+        assert lines[1][:3] == ["lrc", "8", "2"]
 
     @pytest.mark.parametrize(
         "doc",

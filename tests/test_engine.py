@@ -717,10 +717,10 @@ class TestChain:
     @pytest.mark.parametrize("seed", range(5))
     def test_may_extend_matches_brute_force(self, seed):
         # The node-level prune on rows given by their fresh columns: the
-        # a = 2 pair test over Python ints and the packed walk for a = 6
-        # both agree with the oracle on the zero sets U & ~fresh.  The root
-        # walk, with none of the prune's guards, agrees with the oracle
-        # alone for every need >= 1.
+        # a = 2 pair test over Python ints and the packed walk for a =
+        # min(``_LONG_CHAIN``, need) both agree with the oracle on the zero
+        # sets U & ~fresh.  The walk alone, with none of the prune's guards,
+        # agrees with the oracle for every need >= 1.
         rng = rng_for(200 + seed)
         for _ in range(40):
             width = int(rng.integers(3, 80))
@@ -733,14 +733,14 @@ class TestChain:
             zeros = [union & ~f for f in fresh]
             need = int(rng.integers(0, union.bit_count() + 2))
             roomy = len(live) >= need and union.bit_count() >= need
-            for a in (2, 6):
+            for long, a in ((False, 2), (True, engine._LONG_CHAIN)):
                 expected = roomy and (need < 3 or brute_chain(zeros, need, min(a, need)))
-                assert _may_extend(live, union, need, a, math.inf) == expected, (fresh, need, a)
-            # The root walk seeks chains of ``_ROOT_CHAIN`` rows, and a
-            # finished walk answers True to a second grant.
+                assert _may_extend(live, union, need, long, math.inf) == expected, (fresh, need, a)
+            # The walk seeks chains of ``_LONG_CHAIN`` rows, and a finished
+            # walk answers True to a second grant.
             if need >= 1:
-                expected = brute_chain(zeros, need, min(engine._ROOT_CHAIN, need))
-                walk = engine._root_chain(live, union, need, math.inf)
+                expected = brute_chain(zeros, need, min(engine._LONG_CHAIN, need))
+                walk = engine._chain(live, union, need, math.inf)
                 assert _grant(walk, 10**9) == expected, (fresh, need)
                 assert _grant(walk, 1)
 
@@ -803,10 +803,10 @@ class TestChain:
         fresh = [0b1100, 0b0011, 0b1111]
         live = [(f.bit_count(), i, f, f) for i, f in enumerate(fresh)]
         assert not brute_chain([0b1111 & ~f for f in fresh], 3, 2)
-        assert not _may_extend(live, 0b1111, 3, 2, math.inf)
-        assert _may_extend(live, 0b1111, 3, 2, time.monotonic() - 1)
+        assert not _may_extend(live, 0b1111, 3, False, math.inf)
+        assert _may_extend(live, 0b1111, 3, False, time.monotonic() - 1)
         monkeypatch.setattr(engine, "_CHAIN_WORK", 0)
-        assert _may_extend(live, 0b1111, 3, 2, math.inf)
+        assert _may_extend(live, 0b1111, 3, False, math.inf)
 
     def test_work_cap_bounds_the_walk(self):
         # Link i misses columns 2i and 2i + 1, so any s of the 128 links meet
@@ -944,10 +944,12 @@ class TestRootProof:
     @pytest.fixture
     def root_walks(self, monkeypatch):
         # Records the answer of every root walk to every grant; the search
-        # stops granting a walk once it answers False.
+        # stops granting a walk once it answers False.  Only walks that
+        # ``_urm_search`` builds are recorded: the per-node long checks,
+        # built in ``_may_extend``, run unrecorded.
         monkeypatch.setattr(engine, "_ROOT_AFTER", 1)
         answers = []
-        root_chain = engine._root_chain
+        chain = engine._chain
 
         def recorded(walk):
             work = yield
@@ -956,11 +958,14 @@ class TestRootProof:
                 work = yield answers[-1]
 
         def recording(live, union, need, deadline):
-            walk = recorded(root_chain(live, union, need, deadline))
+            walk = chain(live, union, need, deadline)
+            if sys._getframe(1).f_code is not engine._urm_search.__code__:
+                return walk
+            walk = recorded(walk)
             next(walk)
             return walk
 
-        monkeypatch.setattr(engine, "_root_chain", recording)
+        monkeypatch.setattr(engine, "_chain", recording)
         return answers
 
     @pytest.mark.parametrize("seed", range(4))

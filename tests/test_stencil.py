@@ -89,6 +89,7 @@ class TestParse:
     def test_grid_identity(self):
         H = parse_stencil("stencil 2 2\n*0\n0*\n")
         assert H.rows == (0b01, 0b10)
+        assert parse_stencil("stencil 2 2\n*0\n0*\n\n  \n\r\n") == H
 
     def test_grid_one_row(self):
         H = parse_stencil("stencil 1 3\n*0*\n")
@@ -109,6 +110,8 @@ class TestParse:
             parse_stencil("stencil x 2\n*0\n0*\n")
         with pytest.raises(MalformedHeaderError):
             parse_stencil("")
+        with pytest.raises(MalformedHeaderError):
+            stencil_from_json_doc([1])
 
     def test_dot_rejected(self):
         with pytest.raises(IllegalCharacterError):
