@@ -621,15 +621,16 @@ def _first_of_each(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def _beam(
-    rows: list[tuple[int, int]],
+    rows: list[tuple[int, int, int, int]],
     n: int,
     width: int,
     deadline: float,
     floor: int = 0,
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Beam search over triangular row sequences of the (mask, index) rows
-    on n columns: returns (depth, sequence of (index, lowest fresh column)
-    pairs), the forward sequence ``_certificate_from_sequence`` replays.
+    """Beam search over triangular row sequences of the search's (c, index,
+    mask, fresh) row records on n columns, of which it reads index and mask:
+    returns (depth, sequence of (index, lowest fresh column) pairs), the
+    forward sequence ``_certificate_from_sequence`` replays.
 
     Level d + 1 keeps the ``width`` distinct unions B | r with the fewest
     columns, over the unions B of level d and the rows r with a column
@@ -641,7 +642,7 @@ def _beam(
     of their column counts.  The deadline is read once per level; on a stop
     the deepest sequence held is returned.
     """
-    packed = _packed([mask for mask, _ in rows], n)
+    packed = _packed([mask for _, _, mask, _ in rows], n)
     k, words = packed.shape
     absent = n + 1  # the size of a child that does not exist
     dtype = np.min_scalar_type(absent)
@@ -680,7 +681,7 @@ def _beam(
         i = parents[i]
     seq, blocked = [], 0
     for r in reversed(chosen):
-        mask, idx = rows[r]
+        _, idx, mask, _ = rows[r]
         fresh = mask & ~blocked
         seq.append((idx, (fresh & -fresh).bit_length() - 1))
         blocked |= mask
@@ -722,60 +723,64 @@ def _urm_search(
     trigger read node counts only, so the nodes a search spends stay
     deterministic.
 
-    A node makes one pass over its candidate rows, building each live row's
-    fresh columns, their count c and the union U of them, which is all the
-    ``_may_extend`` prune reads: at shallow nodes of a large search, the
-    same ``_chain`` walk the root holds, granted once; elsewhere, pairs
-    tested on the masks themselves.  A node the prune keeps picks a forced
+    A row is one record (c, index, mask, fresh) throughout: the pass that
+    drops duplicate rows builds the root's, (|mask|, index, mask, mask),
+    which are the root's candidates and the rows of the root walk and of the
+    beam.  A node makes one pass over its candidate records, building each
+    live row's fresh columns, their count c and the union U of them, which
+    is all the ``_may_extend`` prune reads: at shallow nodes of a large
+    search, the same ``_chain`` walk the root holds, granted once;
+    elsewhere, pairs tested on the masks themselves.  A node the prune keeps picks a forced
     move in its own candidate order, and passes that order on; otherwise one
-    sort by (c, index) orders its children and their candidates.
+    sort by (c, index) orders its children; either way its live records, in
+    that order, are its children's candidates.
 
-    The value bitmasks ``row_vals`` and ``col_vals`` (all zero by default)
-    keep the rows, and the pivot columns, pairwise disjoint in value, as
-    distinct rank asks: a pivot adds the columns sharing its values to B, a
-    row drops the rows sharing its values from the candidates below it and
-    adds them, shifted past the n columns, to UR, and the memo key is
-    B | UR.  The forced move needs a row and a column without values."""
+    The value bitmasks ``row_vals`` and ``col_vals``, given together or not
+    at all, keep the rows, and the pivot columns, pairwise disjoint in
+    value, as distinct rank asks: a pivot adds the columns sharing its
+    values to B, a row drops the rows sharing its values from the candidates
+    below it and adds them, shifted past the n columns, to UR, and the memo
+    key is B | UR.  Giving them is the one switch of such a value search,
+    which runs no beam and makes no forced moves: a move is forced only for
+    a row and a pivot column without values, and every label of a tensor
+    power has one."""
     deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
-    beam_due = not (row_vals or col_vals)
-    row_vals = [v << n for v in row_vals] if row_vals else [0] * len(masks)
-    # The columns each pivot column blocks: those sharing one of its values.
-    classes = bool(col_vals) and any(col_vals)
-    conflict = [0] * n
-    if classes:
+    values = row_vals is not None
+    beam_due = not values
+    row_vals = [v << n for v in row_vals] if values else [0] * len(masks)
+    if values:
+        # The columns each pivot column blocks: those sharing one of its values.
         conflict = [sum(1 << d for d, w in enumerate(col_vals) if v & w) for v in col_vals]
-    # Distinct (support, values) only: a row duplicating another's can never
-    # join the same triangular sequence.
+    # The root's records and union: distinct (support, values) only, since a
+    # row duplicating another's can never join the same triangular sequence.
     seen_rows: set[int] = set()
-    rows: list[tuple[int, int]] = []  # (mask, original index)
+    root: list[tuple[int, int, int, int]] = []
+    root_union = 0
     for idx, mask in enumerate(masks):
         key = mask | row_vals[idx]
         if mask and key not in seen_rows:
             seen_rows.add(key)
-            rows.append((mask, idx))
+            root.append((mask.bit_count(), idx, mask, mask))
+            root_union |= mask
 
     best = incumbent
     best_seq: list[tuple[int, int]] | None = None
     visited: dict[int, int] = {}
     nodes = 0
-    # The root's live rows and union, for its prune while the incumbent
-    # stalls: ``risen`` is the node at which it last rose, ``walk`` the root
-    # walk for best + 1 (None until the first stall point after the rise),
-    # and the walk's next grant comes when the stall reaches ``stall``.
-    root = [(mask.bit_count(), idx, mask, mask) for mask, idx in rows]
-    root_union = 0
-    for mask, _ in rows:
-        root_union |= mask
+    # For the root's prune while the incumbent stalls: ``risen`` is the node
+    # at which it last rose, ``walk`` the root walk for best + 1 (None until
+    # the first stall point after the rise), and the walk's next grant comes
+    # when the stall reaches ``stall``.
     risen, stall, walk = 0, _ROOT_AFTER, None
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
-    # Frames of the nodes being expanded: (B, UR, depth, candidates for the
-    # children, iterator over the children not yet tried).  A candidate is
-    # (mask, index); a child is (c, row, columns it blocks, columns whose
+    # Frames of the nodes being expanded: (B, UR, depth, the node's ordered
+    # live records as its children's candidates, iterator over the children
+    # not yet tried).  A child is (c, row, columns it blocks, columns whose
     # lowest is its pivot).
     stack: list[
-        tuple[int, int, int, list[tuple[int, int]], Iterator[tuple[int, int, int, int]]]
+        tuple[int, int, int, list[tuple[int, int, int, int]], Iterator[tuple[int, int, int, int]]]
     ] = []
-    B, UR, depth, cands = 0, 0, 0, rows
+    B, UR, depth, cands = 0, 0, 0, root
     while True:
         nodes += 1
         if nodes > node_budget or time.monotonic() > deadline:
@@ -787,12 +792,12 @@ def _urm_search(
         elif nodes - risen == stall:
             if walk is None:
                 walk = _chain(root, root_union, best + 1, deadline)
-            if not _grant(walk, _ROOT_WORK * stall * len(rows)):
+            if not _grant(walk, _ROOT_WORK * stall * len(root)):
                 return best, best_seq, True
             stall *= 2
             if beam_due and nodes >= _BEAM_AFTER:
                 beam_due = False
-                value, beam_seq = _beam(rows, n, _BEAM_WIDTH, deadline, best)
+                value, beam_seq = _beam(root, n, _BEAM_WIDTH, deadline, best)
                 if value > best:
                     best, best_seq = value, beam_seq
                     risen, stall, walk = nodes, _ROOT_AFTER, None
@@ -802,7 +807,7 @@ def _urm_search(
             live = []
             union = 0
             free = ~B
-            for mask, idx in cands:
+            for _, idx, mask, _ in cands:
                 fresh = mask & free
                 if fresh:
                     live.append((fresh.bit_count(), idx, mask, fresh))
@@ -810,15 +815,14 @@ def _urm_search(
             long = depth <= _LONG_CHAIN_DEPTH and nodes > _LONG_CHAIN_AFTER
             if live and _may_extend(live, union, best - depth + 1, long, deadline):
                 # Forced move: a row adding one fresh column can be taken
-                # first without loss when neither of them has values.
-                forced = next((t for t in live if t[0] == 1
-                               and not row_vals[t[1]] | conflict[t[3].bit_length() - 1]), None)
+                # first without loss when no row or column has values.
+                forced = None if values else next((t for t in live if t[0] == 1), None)
                 if forced is None:
                     order = sorted(live)
-                    kids = _pivot_classes(order, conflict) if classes else order
+                    kids = _pivot_classes(order, conflict) if values else order
                 else:
                     kids, order = [forced], live
-                stack.append((B, UR, depth, [(mk, ix) for _, ix, mk, _ in order], iter(kids)))
+                stack.append((B, UR, depth, order, iter(kids)))
         # Move to the next child of the deepest frame that has one left.
         while stack:
             pB, pUR, pdepth, pcands, kids = stack[-1]

@@ -278,9 +278,7 @@ def parse_stencil(text: str) -> Stencil:
     if stripped.startswith("{"):
         return stencil_from_json_doc(json.loads(text))
     lines = [ln.rstrip("\r") for ln in text.splitlines()]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+    if not any(ln.strip() for ln in lines):
         raise MalformedHeaderError("empty document")
     header = lines[0].split()
     if len(header) != 3 or header[0] != "stencil":
@@ -292,6 +290,9 @@ def parse_stencil(text: str) -> Stencil:
     if m < 0 or n < 0:
         raise MalformedHeaderError("negative dimensions in header")
     body = lines[1:]
+    # Blank lines past the m rows trail; the rows of a 0-column stencil are blank.
+    while len(body) > m and not body[-1].strip():
+        body.pop()
     if len(body) != m:
         raise RaggedRowError(f"expected {m} rows, got {len(body)}")
     masks = []

@@ -275,8 +275,9 @@ class TestSpanoid:
             {"sets": [[1, 2]]},
             {"n": 3, "sets": [[1, "2"]]},
             {"n": 3, "sets": [1, 2]},
+            {"n": -1, "sets": []},
         ],
-        ids=["missing-n", "non-integer-element", "sets-not-list-of-lists"],
+        ids=["missing-n", "non-integer-element", "sets-not-list-of-lists", "negative-n"],
     )
     def test_malformed_json_exit_2(self, capsys, tmp_path, action, doc):
         p = tmp_path / "s.json"

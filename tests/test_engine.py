@@ -604,6 +604,19 @@ GOLDEN_CAPACITY = [
 ]
 
 
+#: Nodes a completed search spends: each search ends exact with this node
+#: budget and not with one node less.  The grants, the triggers and the caps
+#: of a search read node counts or work units only, never the clock.
+GOLDEN_NODES = [
+    ("drgp64s0", lambda b: visible_rank_exact(gen_drgp(64, 2, 0), node_budget=b).exact, 544),
+    ("drgp32s0", lambda b: visible_rank_exact(gen_drgp(32, 2, 0), node_budget=b).exact, 90),
+    ("lcc64s0", lambda b: visible_rank_exact(gen_lcc(64, 3, 0.05, 0), node_budget=b).exact, 154),
+    ("lrc32s0", lambda b: visible_rank_exact(gen_lrc(32, 2, 0), node_budget=b).exact, 499),
+    ("distinct_lrc6s0",
+     lambda b: distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=b).exhaustive, 19_491),
+]
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "gen, args, value, digest", GOLDEN_RESULTS,
@@ -629,6 +642,12 @@ class TestGolden:
 
     def test_distinct_rank(self):
         assert distinct_rank_exact(gen_lrc(6, 2, 0), 2).value == 5
+
+    @pytest.mark.parametrize(
+        "exact_within, nodes", [g[1:] for g in GOLDEN_NODES], ids=[g[0] for g in GOLDEN_NODES]
+    )
+    def test_node_count(self, exact_within, nodes):
+        assert exact_within(nodes) and not exact_within(nodes - 1)
 
 
 def chain_links(zeros: list[int], width: int | None = None) -> np.ndarray:
@@ -1002,13 +1021,14 @@ class TestRootProof:
         assert root_walks and res.certificate.verify(H)
 
 
-def beam_rows(H: Stencil) -> list[tuple[int, int]]:
-    """The (mask, index) rows the search hands ``_beam``: nonzero, distinct."""
+def beam_rows(H: Stencil) -> list[tuple[int, int, int, int]]:
+    """The (c, index, mask, mask) records the search hands ``_beam``: one per
+    nonzero, distinct row, c being its star count."""
     rows, seen = [], set()
     for i, mask in enumerate(H.rows):
         if mask and mask not in seen:
             seen.add(mask)
-            rows.append((mask, i))
+            rows.append((mask.bit_count(), i, mask, mask))
     return rows
 
 

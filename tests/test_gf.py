@@ -61,6 +61,8 @@ class TestWitness:
     def test_shape_mismatch(self):
         with pytest.raises(FieldError):
             WitnessMatrix(2, ((1, 1),), D3)
+        with pytest.raises(FieldError):
+            WitnessMatrix(2, ((1, 1),) * 3, D3)
 
     def test_value_range(self):
         with pytest.raises(FieldError):
@@ -77,6 +79,7 @@ class TestRank:
 
     def test_zero_matrix(self):
         assert gf_rank_rows([[0, 0], [0, 0]], 5) == 0
+        assert gf_rank_rows([], 5) == 0
 
     def test_rank_bounded_by_dims(self):
         for seed in range(10):

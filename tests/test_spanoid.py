@@ -38,6 +38,8 @@ class TestConstruction:
     def test_out_of_universe_rejected(self):
         with pytest.raises(SpanoidError):
             SymmetricSpanoid.from_sets(3, [[1, 4]])
+        with pytest.raises(SpanoidError):
+            SymmetricSpanoid.from_sets(-1, [])
 
     def test_json_round_trip(self):
         S = SymmetricSpanoid.from_sets(4, [[1, 2], [2, 3, 4]])

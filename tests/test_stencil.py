@@ -63,6 +63,15 @@ class TestConstruction:
         with pytest.raises(StencilError):
             Stencil.from_rows([0b1000], 3)
 
+    @pytest.mark.parametrize(
+        "m, n, rows, row_labels, col_labels",
+        [(-1, 0, (), (), ()), (2, 1, (1,), ((1,), (2,)), ((1,),)), (1, 1, (1,), ((1,),), ())],
+        ids=["negative-dimension", "mask-count", "label-count"],
+    )
+    def test_shape_mismatch(self, m, n, rows, row_labels, col_labels):
+        with pytest.raises(StencilError):
+            Stencil(m, n, rows, row_labels, col_labels)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabelError):
             Stencil.from_rows([1, 2], 2, row_labels=[(1,), (1,)])
@@ -74,6 +83,8 @@ class TestConstruction:
     def test_from_entries(self):
         H = Stencil.from_entries([[1, 0], [0, 1]])
         assert H.rows == (0b01, 0b10)
+        with pytest.raises(RaggedRowError):
+            Stencil.from_entries([[1, 0], [1]])
 
     def test_star_and_support(self):
         assert D3.star(1, 2) and not D3.star(1, 1)
@@ -121,6 +132,10 @@ class TestParse:
         for seed in range(10):
             H = random_stencil(rng_for(seed), 5, 4)
             assert parse_stencil(to_grid(H)).rows == H.rows
+        # Shapes with no rows or no columns; a row of no columns is a blank line.
+        for m, n in [(3, 0), (0, 3), (0, 0)]:
+            H = Stencil.from_rows([0] * m, n)
+            assert parse_stencil(to_grid(H)) == H
 
     def test_json_round_trip_keeps_labels(self):
         H = Stencil.from_rows([0b01, 0b10], 2, row_labels=[(1, 1), (1, 2)])
