@@ -76,6 +76,8 @@ class ExperimentSpec:
             raise SpecError("trials must be >= 1")
         if self.budget_ms < 0:
             raise SpecError("budget_ms must be >= 0")
+        if self.seed < 0:
+            raise SpecError("seed must be >= 0")
         p = self.field_p
         if p is not None and not (gf.is_prime(p) and p <= gf.MAX_PRIME):
             raise SpecError(f"field {p} is not a prime up to {gf.MAX_PRIME}")

@@ -1,19 +1,25 @@
 """Seeded generators and validators for the locality stencil families.
 
-All randomness flows through numpy ``SeedSequence`` substreams keyed by
+All randomness flows through numpy substreams keyed by
 ``[seed, family_tag, coordinates...]``: one stream per row for LRC, per
 (column, group) for LCC, and per row group for DRGP and tensor-gap (with
-vectorized within-group draws).  Generation is deterministic,
-platform-independent, and safe to parallelize across substreams.
+vectorized within-group draws).  Each stream is exactly
+``np.random.default_rng([seed, family_tag, *cell])``; ``_streams`` builds a
+generator's streams in one batch by running numpy's ``SeedSequence`` hash
+on all cells at once.  Generation is deterministic, platform-independent,
+and safe to parallelize across substreams.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .stencil import Stencil, StencilError
 
@@ -46,6 +52,8 @@ class FamilyParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise FamilyParamError(f"seed must be >= 0, got {self.seed}")
         if self.n < 1:
             raise FamilyParamError("n must be positive")
         if self.family is Family.LRC:
@@ -81,17 +89,89 @@ class FamilyParams:
         return 1
 
 
-def _rng(seed: int, family: Family, *cell: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _TAG[family], *cell])
+# Constants of numpy's ``SeedSequence`` hash (pool of four 32-bit words).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running multiplier of ``calls`` successive hashmix calls, as a
+    uint32 column: call k xors with entry k and multiplies by entry k + 1."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """``len(consts) - 1`` successive hashmix calls, one per row of
+    ``values``, or all on ``values`` when it is one row; uint32 array
+    products wrap modulo 2^32 as the C code's do."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ value >> 16
+
+
+class _State(ISeedSequence):
+    """Hands ``PCG64`` a seed state computed ahead of time."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _streams(
+    seed: int, family: Family, cells: Sequence[tuple[int, ...]]
+) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, tag, *cell])`` for every cell, with the
+    ``SeedSequence`` hash of all cells run at once on uint32 columns.  The
+    entropy is seed and tag, each split into 32-bit words least significant
+    first as numpy splits an int, then the cell's coordinates."""
+    seed = operator.index(seed)
+    width = 4 * max(1, (seed.bit_length() + 31) // 32)
+    shared = np.frombuffer(seed.to_bytes(width, "little"), "<u4").tolist() + [_TAG[family]]
+    coords = np.array(cells, dtype=np.uint32).T
+    # One row per entropy word, one column per cell; zero rows pad the
+    # entropy to the pool size, as numpy hashes zeros for missing words.
+    entropy = np.zeros((max(_POOL, len(shared) + len(coords)), len(cells)), np.uint32)
+    entropy[: len(shared)] = np.array(shared, np.uint32)[:, None]
+    entropy[len(shared) : len(shared) + len(coords)] = coords
+
+    # mix_entropy: each hashmix of one step below takes the next multipliers.
+    extra = entropy[_POOL:]
+    consts = _consts(_INIT_A, _MULT_A, _POOL * (_POOL + len(extra)))
+    pool = _hashmix(entropy[:_POOL], consts[: _POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + _POOL]))
+        k += _POOL - 1
+    for word in extra:
+        pool = _mix(pool, _hashmix(word, consts[k : k + _POOL + 1]))
+        k += _POOL
+
+    # generate_state(4, np.uint64): eight words cycling over the pool, read
+    # as little-endian pairs.
+    words = _hashmix(np.tile(pool, (2, 1)), _consts(_INIT_B, _MULT_B, 2 * _POOL))
+    states = words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_State(state))) for state in states]
 
 
 def gen_lrc(n: int, ell: int, seed: int) -> Stencil:
     """n x n stencil: stars on the diagonal plus ell uniformly sampled other
     stars in each row."""
     FamilyParams(Family.LRC, n, ell, seed=seed)
+    cells = [(i + 1,) for i in range(n)]
     masks = []
-    for i in range(n):
-        rng = _rng(seed, Family.LRC, i + 1)
+    for i, rng in enumerate(_streams(seed, Family.LRC, cells)):
         picks = rng.choice(n - 1, size=ell, replace=False)
         mask = 1 << i
         # Pick p of the n - 1 columns other than i is column p + (p >= i).
@@ -114,11 +194,11 @@ def gen_lcc(n: int, q: int, delta: float, seed: int) -> Stencil:
     """
     params = FamilyParams(Family.LCC, n, q, delta=delta, seed=seed)
     t = params.groups_per_column
+    streams = _streams(seed, Family.LCC, _group_labels(n, t))
     masks = []
     for i in range(n):
         pool = [j for j in range(n) if j != i]
-        for j in range(t):
-            rng = _rng(seed, Family.LCC, i + 1, j + 1)
+        for rng in streams[i * t : (i + 1) * t]:
             picks = sorted(rng.choice(len(pool), size=q, replace=False).tolist(), reverse=True)
             mask = 1 << i
             for p in picks:
@@ -136,7 +216,8 @@ def _gen_grouped(family: Family, n: int, t: int, seed: int) -> Stencil:
     a single vectorized draw (the slot at j = i is discarded).
     """
     FamilyParams(family, n, t, seed=seed)
-    slots = np.array([_rng(seed, family, i + 1).integers(t, size=n) for i in range(n)])
+    cells = [(i + 1,) for i in range(n)]
+    slots = np.array([rng.integers(t, size=n) for rng in _streams(seed, family, cells)])
     diag = np.eye(n, dtype=bool)
     masks = [0] * (n * t)
     for s in range(t):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from vrank.engine import DEFAULT_NODE_BUDGET, DiagonalCertificate, is_visibly_full_rank
-from vrank.families import Family, FamilyParamError, FamilyParams, ValidationReport, _rng
+from vrank.families import _TAG, Family, FamilyParamError, FamilyParams, ValidationReport
 from vrank.gf import FieldError, WitnessMatrix, gf_rank_rows
 from vrank.spanoid import SymmetricSpanoid
 from vrank.stencil import PermutationPair, Stencil, StencilError, substencil
@@ -395,12 +395,13 @@ def brute_zero_rectangle(H: Stencil, a_max: int) -> int:
 
 
 def loop_gen_grouped(family: Family, n: int, t: int, seed: int) -> Stencil:
-    """DRGP or tensor-gap stencil built one entry at a time from the same
-    per-group substreams as the generators: DRGP puts the one off-diagonal
-    star of column j of group i in the drawn slot, tensor-gap the one zero."""
+    """DRGP or tensor-gap stencil built one entry at a time from the
+    per-group substreams the generators promise, each made by numpy's own
+    ``default_rng([seed, tag, i])``: DRGP puts the one off-diagonal star of
+    column j of group i in the drawn slot, tensor-gap the one zero."""
     masks = [0] * (n * t)
     for i in range(n):
-        slots = _rng(seed, family, i + 1).integers(t, size=n)
+        slots = np.random.default_rng([seed, _TAG[family], i + 1]).integers(t, size=n)
         for s in range(t):
             masks[i * t + s] |= 1 << i
         for j in range(n):

@@ -407,10 +407,11 @@ class TestExperiment:
          {"family": "lrc", "n": [8], "param": [2], "field": 4},
          {"family": "lrc", "n": [8], "param": [2], "field": 65537},
          {"family": "lrc", "n": [8], "param": [2], "budget_ms": -5},
-         {"family": "lrc", "param": [2]}],
+         {"family": "lrc", "param": [2]},
+         {"family": "lrc", "n": [8], "param": [2], "seed": -3}],
         ids=["empty-object", "not-an-object", "unknown-family", "n-not-a-list", "empty-sweep",
              "non-integer-field", "non-number-delta", "non-string-csv", "non-prime-field",
-             "prime-field-over-limit", "negative-budget", "no-n"],
+             "prime-field-over-limit", "negative-budget", "no-n", "negative-seed"],
     )
     def test_malformed_spec_exit_2(self, capsys, tmp_path, doc):
         p = tmp_path / "spec.json"
@@ -424,9 +425,14 @@ class TestExperiment:
          ["vrank", "STENCIL", "--budget-ms", "-5"],
          ["tensor", "STENCIL", "--power", "2", "--budget-ms", "-5"],
          ["minrank", "STENCIL", "--field", "3", "--budget-ms", "-5"],
-         ["minrank", "STENCIL", "--field", "3", "--budget", "-1"]],
+         ["minrank", "STENCIL", "--field", "3", "--budget", "-1"],
+         ["gen", "--family", "drgp", "--n", "6", "--t", "2", "--seed", "-1"],
+         ["experiment", "--family", "lrc", "--n", "8", "--ell", "2", "--trials", "1",
+          "--seed", "-5"],
+         ["verify", "STENCIL", "--family", "lrc", "--n", "3", "--ell", "1", "--seed", "-1"]],
         ids=["non-prime-field", "negative-budget", "negative-budget-vrank",
-             "negative-budget-tensor", "negative-budget-minrank", "negative-node-budget-minrank"],
+             "negative-budget-tensor", "negative-budget-minrank", "negative-node-budget-minrank",
+             "negative-seed-gen", "negative-seed-experiment", "negative-seed-verify"],
     )
     def test_malformed_flags_exit_2(self, capsys, d3_path, argv):
         assert_input_error(capsys, *[d3_path if a == "STENCIL" else a for a in argv])

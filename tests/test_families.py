@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from tests.conftest import brute_validate_grouped, lcc_zero_rectangle_probe, loop_gen_grouped
 from vrank.engine import greedy_lower_bound, visible_rank_exact
 from vrank.families import (
+    _TAG,
     Family,
     FamilyParamError,
     FamilyParams,
+    _streams,
     gen_drgp,
     gen_lcc,
     gen_lrc,
@@ -108,6 +110,12 @@ class TestParams:
         with pytest.raises(FamilyParamError, match="at least 2"):
             FamilyParams(Family.DRGP, 1, 2)
 
+    def test_negative_seed(self):
+        with pytest.raises(FamilyParamError, match="seed"):
+            FamilyParams(Family.DRGP, 6, 2, seed=-1)
+        with pytest.raises(FamilyParamError, match="seed"):
+            gen_lrc(8, 2, -5)
+
 
 class TestDeterminism:
     @given(st.integers(0, 2**60))
@@ -146,6 +154,25 @@ class TestDeterminism:
         p = FamilyParams(Family.LCC, 64, 3, seed=2)
         assert p.delta == 0.05 and p.groups_per_column == 3
         assert generate(p) == gen_lcc(64, 3, 0.05, 2)
+
+
+class TestStreams:
+    @given(
+        st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**96]), st.integers(0, 2**96)),
+        st.sampled_from(list(Family)),
+        st.integers(1, 2).flatmap(
+            lambda k: st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * k), min_size=1, max_size=6)
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_default_rng(self, seed, fam, cells):
+        """Each batched stream draws what numpy's own seeding of
+        ``[seed, tag, *cell]`` draws."""
+        streams = _streams(seed, fam, cells)
+        assert len(streams) == len(cells)
+        for cell, rng in zip(cells, streams):
+            oracle = np.random.default_rng([seed, _TAG[fam], *cell])
+            assert rng.integers(2**32, size=8).tolist() == oracle.integers(2**32, size=8).tolist()
 
 
 class TestLRC:
