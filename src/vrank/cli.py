@@ -271,9 +271,19 @@ def cmd_witness(args) -> int:
     return 0 if ok else 1
 
 
+def _read_json(path: str):
+    """The JSON document in the file ``path``; raises ``StencilError``,
+    naming the file, when it does not parse."""
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise stencil.StencilError(f"{path} is not valid JSON ({exc})") from None
+
+
 def cmd_spanoid(args) -> int:
-    with open(args.file, "r", encoding="ascii") as fh:
-        S = spanoid.SymmetricSpanoid.from_json_str(fh.read())
+    S = spanoid.SymmetricSpanoid.from_json(_read_json(args.file))
     if args.action == "rank":
         res = spanoid.spanoid_rank(S)
         print(
@@ -295,8 +305,7 @@ def cmd_spanoid(args) -> int:
 def cmd_verify(args) -> int:
     H = stencil.read_stencil(args.file)
     if args.certificate:
-        with open(args.certificate, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.certificate)
         if isinstance(doc, dict) and "certificate" in doc:
             doc = doc["certificate"]
         cert = engine.DiagonalCertificate.from_json(doc)
@@ -314,8 +323,7 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.spec)
     else:
         fam, param_values = _family_param(args)
         doc = {"family": fam.value, "n": args.n, "param": param_values, "delta": args.delta,

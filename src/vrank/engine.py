@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Generator, Iterator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,6 +362,19 @@ def visible_rank_exact(
     zero-rectangle, ``upper``).  The zero-rectangle bound is computed only in
     that case: a search that completes proves its value without it.
     """
+    return _visible_rank_exact(H, node_budget, time_budget, initial, upper)
+
+
+def _visible_rank_exact(
+    H: Stencil,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    time_budget: float | None = None,
+    initial: DiagonalCertificate | None = None,
+    upper: int | None = None,
+    sym: list[int] | None = None,
+) -> VrankResult:
+    """``visible_rank_exact`` with the column involution ``sym`` of H, if
+    any, handed to the search (see ``_urm_search``)."""
     best, best_cert = greedy_lower_bound(H)
     if initial is not None and initial.size > best:
         if not initial.verify(H):
@@ -375,7 +388,7 @@ def visible_rank_exact(
         return VrankResult(best, best, best_cert, PROV_MATCHING, exact=True)
 
     value, pairs, completed = _urm_search(
-        list(H.rows), H.n, best, node_budget, time_budget
+        list(H.rows), H.n, best, node_budget, time_budget, sym=sym
     )
     if pairs is not None:
         best = value
@@ -696,6 +709,7 @@ def _urm_search(
     time_budget: float | None,
     row_vals: list[int] | None = None,
     col_vals: list[int] | None = None,
+    sym: list[int] | None = None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """Core search.  Returns (best, improving sequence or None, completed).
 
@@ -735,6 +749,17 @@ def _urm_search(
     sort by (c, index) orders its children; either way its live records, in
     that order, are its children's candidates.
 
+    The memo keeps, per state, the greatest depth at which the search
+    entered it, and a node entered no deeper than that is not expanded
+    again.  A state is B alone: the node's candidates are every distinct row
+    live at B, and B grows strictly along a path.  ``sym``, a column
+    permutation of H given as 0-based images, is an automorphism when it
+    maps the distinct nonzero rows onto themselves; it then maps the subtree
+    at B onto the one at sym(B), at equal depths, so the memo keys each
+    state by min(B, sym(B)).  The search applies ``sym`` only when it is an
+    involution and an automorphism, and raises ``StencilError`` otherwise
+    (and for a value search, whose key holds more than B).
+
     The value bitmasks ``row_vals`` and ``col_vals``, given together or not
     at all, keep the rows, and the pivot columns, pairwise disjoint in
     value, as distinct rank asks: a pivot adds the columns sharing its
@@ -762,6 +787,10 @@ def _urm_search(
             seen_rows.add(key)
             root.append((mask.bit_count(), idx, mask, mask))
             root_union |= mask
+    if sym is not None:
+        if values:
+            raise StencilError("a value search takes no column symmetry")
+        flip = _flip(sym, n, seen_rows)
 
     best = incumbent
     best_seq: list[tuple[int, int]] | None = None
@@ -801,9 +830,10 @@ def _urm_search(
                 if value > best:
                     best, best_seq = value, beam_seq
                     risen, stall, walk = nodes, _ROOT_AFTER, None
-        prev = visited.get(B | UR)
+        key = B | UR if sym is None else min(B, flip(B))
+        prev = visited.get(key)
         if prev is None or prev < depth:
-            visited[B | UR] = depth
+            visited[key] = depth
             live = []
             union = 0
             free = ~B
@@ -841,6 +871,31 @@ def _urm_search(
             break
         else:
             return best, best_seq, True
+
+
+def _flip(sym: list[int], n: int, rows: set[int]) -> Callable[[int], int]:
+    """The map of n-column masks that moves column c to ``sym[c]``, by one
+    256-entry table per byte of the mask.  Raises ``StencilError`` unless
+    ``sym`` is an involution of the columns that maps the masks ``rows``
+    onto themselves."""
+    if len(sym) != n or not all(0 <= c < n and sym[c] == j for j, c in enumerate(sym)):
+        raise StencilError("the column symmetry is not an involution")
+    size = -(-n // 8)
+    tables = []
+    for base in range(0, 8 * size, 8):
+        table = [0]  # entry b: the image of the columns of the bits of b
+        for c in range(base, base + 8):
+            image = 1 << (sym[c] if c < n else c)
+            table += [t | image for t in table]
+        tables.append(table)
+
+    def flip(mask: int) -> int:
+        # The bytes' images are disjoint, so their sum is their union.
+        return sum(map(list.__getitem__, tables, mask.to_bytes(size, "little")))
+
+    if {flip(mask) for mask in rows} != rows:
+        raise StencilError("the column symmetry does not map the rows onto themselves")
+    return flip
 
 
 def _pivot_classes(live, conflict: list[int]) -> list[tuple[int, int, int, int]]:

@@ -4,6 +4,9 @@ Tensor ordering is fixed as row-major lexicographic on factor indices: the
 product row for factor rows (a1, a2) sits at index (a1-1)*m2 + a2, and labels
 are concatenated tuples.  Visible rank is permutation-invariant, so any fixed
 bijection would do; this one makes implicit certificate arithmetic mechanical.
+It also fixes the factor reversal of H^(xk): the column permutation
+(c1, ..., ck) -> (ck, ..., c1), an involution that maps the rows of the
+power onto themselves, which the search of a power uses as a symmetry.
 """
 
 from __future__ import annotations
@@ -16,13 +19,10 @@ from functools import reduce
 from itertools import islice
 from operator import and_
 
+import numpy as np
+
 from . import engine
-from .engine import (
-    DEFAULT_NODE_BUDGET,
-    DiagonalCertificate,
-    VrankResult,
-    visible_rank_exact,
-)
+from .engine import DEFAULT_NODE_BUDGET, DiagonalCertificate, VrankResult
 from .families import row_groups
 from .gf import gf_rank, is_prime, low_rank_witness, validate_witness
 from .stencil import Stencil, StencilError
@@ -218,10 +218,11 @@ def _power_searches(
     (level 1 always).  Level k is seeded with level
     k-1's certificate tensored with level 1's and, when the witness rank
     ``w`` is known, given the upper bound w^k, which closes it without a
-    search once the seed meets it.  All levels share the one deadline
-    ``time_budget`` sets."""
+    search once the seed meets it.  The search of level k >= 2 is given the
+    factor reversal of H^(xk) (see ``_reversal``) as a symmetry.  All levels
+    share the one deadline ``time_budget`` sets."""
     deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
-    res1 = res = visible_rank_exact(
+    res1 = res = engine._visible_rank_exact(
         H, node_budget=node_budget, time_budget=time_budget, upper=w
     )
     yield res1
@@ -232,14 +233,22 @@ def _power_searches(
         remaining = deadline - time.monotonic()
         seed = tensor_certificate(Hk, res.certificate, H, res1.certificate)
         Hk = tensor_product(Hk, H, max_entries=max_entries)
-        res = visible_rank_exact(
+        res = engine._visible_rank_exact(
             Hk,
             node_budget=node_budget,
             time_budget=remaining,
             initial=seed,
             upper=None if w is None else w**k,
+            sym=_reversal(H.n, k),
         )
         yield res
+
+
+def _reversal(n: int, k: int) -> list[int]:
+    """The factor reversal of the n^k columns of a k-th tensor power in the
+    module's row-major order: column (c1, ..., ck), 0-based, goes to
+    (ck, ..., c1)."""
+    return np.arange(n**k).reshape((n,) * k).transpose().ravel().tolist()
 
 
 def capacity_lower_bound(
@@ -254,8 +263,10 @@ def capacity_lower_bound(
 
     Powers that fit in ``max_entries`` are searched, each seeded with the
     tensored certificate of the level below and bounded above by the witness
-    rank w^k (see ``_witness_rank``); the upper bound of a searched level is
-    the search's, which is at most w^k.  Larger powers fall back to
+    rank w^k (see ``_witness_rank``); the search of a level k >= 2 visits
+    each state once up to the factor reversal of H^(xk), which the module
+    note describes.  The upper bound of a searched level is the search's,
+    which is at most w^k.  Larger powers fall back to
     vrk(H)^k, plus the implicit diagonal certificate when the row-label shape
     admits one, below w^k, or below min(m, n)^k when no witness was built.
     """
@@ -300,8 +311,9 @@ def tensor_power_vrank(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> VrankResult:
     """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop,
-    which searches every power below it, shares ``time_budget`` with them and
-    bounds each level by the witness rank of H."""
+    which searches every power below it, shares ``time_budget`` with them,
+    bounds each level by the witness rank of H and searches each level
+    k >= 2 up to its factor reversal."""
     _check_power(H, k, max_entries)
     w = _witness_rank(H, k, max_entries)
     searches = _power_searches(H, k, w, node_budget, time_budget, max_entries)

@@ -27,6 +27,15 @@ def zero_column_path(tmp_path):
     return str(p)
 
 
+def assert_not_json_error(capsys, path, *argv):
+    """The command, given the file ``path`` that does not parse as JSON,
+    exits 2 with a one-line message naming it."""
+    path.write_text('{"n": 3, "sets":')
+    assert_input_error(capsys, *argv)
+    main(list(argv))
+    assert f"error: {path} is not valid JSON (" in capsys.readouterr().err
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -284,6 +293,11 @@ class TestSpanoid:
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "spanoid", action, str(p))
 
+    @pytest.mark.parametrize("action", ["rank", "check"])
+    def test_not_json_exit_2(self, capsys, tmp_path, action):
+        p = tmp_path / "s.json"
+        assert_not_json_error(capsys, p, "spanoid", action, str(p))
+
 
 class TestVerify:
     def test_certificate_round_trip(self, capsys, d3_path, tmp_path):
@@ -326,6 +340,10 @@ class TestVerify:
         cert_path = tmp_path / "c.json"
         cert_path.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", d3_path, "--certificate", str(cert_path))
+
+    def test_certificate_not_json_exit_2(self, capsys, d3_path, tmp_path):
+        p = tmp_path / "c.json"
+        assert_not_json_error(capsys, p, "verify", d3_path, "--certificate", str(p))
 
     def test_family_membership(self, capsys, tmp_path):
         p = str(tmp_path / "h.json")
@@ -417,6 +435,10 @@ class TestExperiment:
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "experiment", "--spec", str(p))
+
+    def test_spec_not_json_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "spec.json"
+        assert_not_json_error(capsys, p, "experiment", "--spec", str(p))
 
     @pytest.mark.parametrize(
         "argv",

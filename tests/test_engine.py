@@ -50,6 +50,7 @@ from vrank.tensor import (
     capacity_lower_bound,
     distinct_rank_exact,
     tensor_certificate,
+    tensor_power_vrank,
     tensor_product,
 )
 from vrank.gf import gf_rank, low_rank_witness, validate_witness
@@ -614,6 +615,10 @@ GOLDEN_NODES = [
     ("lrc32s0", lambda b: visible_rank_exact(gen_lrc(32, 2, 0), node_budget=b).exact, 499),
     ("distinct_lrc6s0",
      lambda b: distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=b).exhaustive, 19_491),
+    # Level 2, searched up to the factor reversal, proves 25 (10,715 nodes
+    # without it); level 1 takes fewer nodes.
+    ("power_drgp6s0",
+     lambda b: tensor_power_vrank(gen_drgp(6, 2, 0), 2, node_budget=b).exact, 5_650),
 ]
 
 

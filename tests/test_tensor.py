@@ -4,11 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_distinct_rank, is_distinctly_full_rank, random_stencil, rng_for
+from tests.conftest import (
+    brute_distinct_rank,
+    brute_vrank,
+    is_distinctly_full_rank,
+    random_stencil,
+    rng_for,
+)
 import vrank.engine as engine
 import vrank.tensor as tensor
 from vrank.engine import (
     PROV_WITNESS,
+    DEFAULT_NODE_BUDGET,
     DiagonalCertificate,
     is_visibly_full_rank,
     visible_rank_exact,
@@ -312,14 +319,14 @@ class TestCapacity:
                 return self.now
 
         clock, ends = Clock(), []
-        search = tensor.visible_rank_exact
+        search = engine._visible_rank_exact
 
         def recording(H, **kwargs):
             ends.append(clock.now + kwargs["time_budget"])
             return search(H, **kwargs)
 
         monkeypatch.setattr(tensor, "time", clock)
-        monkeypatch.setattr(tensor, "visible_rank_exact", recording)
+        monkeypatch.setattr(engine, "_visible_rank_exact", recording)
         est = capacity_lower_bound(gen_drgp(6, 2, 0), 2, time_budget=0.01)
         assert len(ends) == 2 and max(ends) <= 0.02 + 0.01 + 1e-9
         # Level 2 stops at once and keeps its tensored seed, 5^2.
@@ -336,14 +343,33 @@ class TestCapacity:
         assert doc["2"]["upper"] <= 36 and doc["2"]["exact"]
 
 
+def reversal_search(H: Stencil, k: int) -> int:
+    """vrk(H^(xk)) by the search under the factor reversal, checked against
+    the plain search of the same power, each from its greedy incumbent and
+    from 0; every certificate must replay."""
+    P = tensor_power(H, k)
+    sym = tensor._reversal(H.n, k)
+    plain = visible_rank_exact(P)
+    res = engine._visible_rank_exact(P, sym=sym)
+    assert plain.exact and res.exact and res.lower_bound == plain.lower_bound
+    assert res.certificate.verify(P) and plain.certificate.verify(P)
+    value, pairs, completed = engine._urm_search(
+        list(P.rows), P.n, 0, DEFAULT_NODE_BUDGET, None, sym=sym
+    )
+    assert completed and value == plain.lower_bound
+    cert = engine._certificate_from_sequence(P, pairs or [])
+    assert cert.size == value and cert.verify(P)
+    return value
+
+
 class TestWitnessBound:
     def test_level_two_closed_without_search(self, monkeypatch):
         calls = []
         search = engine._urm_search
 
-        def counting(masks, n, *args):
+        def counting(masks, n, *args, **kwargs):
             calls.append(n)
-            return search(masks, n, *args)
+            return search(masks, n, *args, **kwargs)
 
         monkeypatch.setattr(engine, "_urm_search", counting)
         H = gen_drgp(6, 2, 5)
@@ -367,8 +393,10 @@ class TestWitnessBound:
         lb, exact = capacity_lower_bound(H, 2).per_level[2]
         res = tensor_power_vrank(H, 2)
         assert plain.exact and exact and res.exact
-        assert lb == res.lower_bound == plain.lower_bound
+        assert lb == res.lower_bound == plain.lower_bound == reversal_search(H, 2)
         assert res.certificate.verify(P) and plain.certificate.verify(P)
+        if P.m * P.n <= 36:
+            assert plain.lower_bound == brute_vrank(P)
 
     def test_unsearched_level_exact_at_witness_power(self):
         # DRGP-4 seed 0 has vrk 3 and witness rank 3; H^(x3) has 32^3 entries.
@@ -392,12 +420,52 @@ class TestPowerVrank:
             assert a.exact and b.exact and a.lower_bound == b.lower_bound
 
     def test_level_three_matches_capacity_and_plain(self):
-        for seed in range(4):
+        for seed in range(6):
             for n in (2, 3):
                 H = random_stencil(rng_for(seed), n, n)
                 a = tensor_power_vrank(H, 3)
                 lb, exact = capacity_lower_bound(H, 3).per_level[3]
                 b = visible_rank_exact(tensor_power(H, 3))
                 assert a.exact and exact and b.exact
-                assert a.lower_bound == lb == b.lower_bound
+                assert a.lower_bound == lb == b.lower_bound == reversal_search(H, 3)
                 assert a.certificate.verify(tensor_power(H, 3))
+
+
+class TestReversalSymmetry:
+    def test_reversal_maps_the_power_onto_itself(self):
+        H = random_stencil(rng_for(3), 3, 4)
+        P = tensor_power(H, 3)
+        sym = tensor._reversal(H.n, 3)
+        assert sym[(1 * 4 + 2) * 4 + 3] == (3 * 4 + 2) * 4 + 1
+        assert all(sym[sym[c]] == c for c in range(P.n))
+        moved = [sum(1 << sym[c] for c in range(P.n) if mask >> c & 1) for mask in P.rows]
+        assert sorted(moved) == sorted(P.rows)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(4, s) for s in range(6)] + [(5, s) for s in range(6)] + [(6, 0), (6, 4)]
+    )
+    def test_drgp_squares_match_plain(self, n, seed):
+        # Of these only DRGP-4 has a cube within the entry limit, and neither
+        # search of its 512 x 64 cube completes unseeded within the default
+        # node budget.
+        reversal_search(gen_drgp(n, 2, seed), 2)
+
+    @pytest.mark.parametrize(
+        "sym, match",
+        [([1, 2, 0, 3], "not an involution"), ([1, 0, 2], "not an involution"),
+         ([0, 1, 2, 4], "not an involution"), ([1, 0, 2, 3], "onto themselves")],
+        ids=["three-cycle", "short", "out-of-range", "not-an-automorphism"],
+    )
+    def test_bad_symmetry_refused(self, sym, match):
+        # Rows {0, 2}, {1} and {3}: swapping columns 0 and 1 is an
+        # involution, but {1, 2} is no row.
+        masks = [0b0101, 0b0010, 0b1000]
+        with pytest.raises(StencilError, match=match):
+            engine._urm_search(masks, 4, 0, DEFAULT_NODE_BUDGET, None, sym=sym)
+
+    def test_value_search_refuses_symmetry(self):
+        P = tensor_power(I2, 2)
+        vals = tensor._value_masks(P.row_labels)
+        with pytest.raises(StencilError, match="value search"):
+            engine._urm_search(list(P.rows), P.n, 0, DEFAULT_NODE_BUDGET, None,
+                               vals, vals, sym=tensor._reversal(2, 2))
