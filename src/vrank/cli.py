@@ -8,10 +8,12 @@ malformed input, and inputs that exhaust the recursion limit or memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,14 +208,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_vrank(args) -> int:
-    H = stencil.read_stencil(args.file)
+    H = _read_stencil(args.file)
     res = engine.visible_rank_exact(H, time_budget=args.budget_ms / 1000.0)
     print(res.to_json_str())
     return 0
 
 
 def cmd_tensor(args) -> int:
-    H = stencil.read_stencil(args.file)
+    H = _read_stencil(args.file)
     if args.output:
         Hk = tensor.tensor_power(H, args.power)
         stencil.write_stencil(Hk, args.output)
@@ -231,7 +233,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    H = stencil.read_stencil(args.file)
+    H = _read_stencil(args.file)
     sub, identity = tensor.diagonal_tensor_certificate(H, args.power)
     print(
         json.dumps(
@@ -246,7 +248,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_minrank(args) -> int:
-    H = stencil.read_stencil(args.file)
+    H = _read_stencil(args.file)
     time_budget = None if args.budget_ms is None else args.budget_ms / 1000.0
     res = gf.minrank_bruteforce(H, args.field, budget=args.budget, time_budget=time_budget)
     print(
@@ -263,7 +265,7 @@ def cmd_minrank(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    H = stencil.read_stencil(args.file)
+    H = _read_stencil(args.file)
     W = gf.low_rank_witness(H, args.field)
     ok, _ = gf.validate_witness(W)
     d = max((((1 << H.n) - 1) & ~mask).bit_count() for mask in H.rows) if H.m else 0
@@ -271,15 +273,31 @@ def cmd_witness(args) -> int:
     return 0 if ok else 1
 
 
-def _read_json(path: str):
-    """The JSON document in the file ``path``; raises ``StencilError``,
-    naming the file, when it does not parse."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+@contextlib.contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Raise a ``StencilError`` naming the file ``path`` for an error of
+    reading it as ASCII or of parsing it as JSON."""
     try:
-        return json.loads(text)
+        yield
+    except UnicodeDecodeError as exc:
+        raise stencil.StencilError(
+            f"{path} is not ASCII (byte {exc.object[exc.start]:#x} at offset {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise stencil.StencilError(f"{path} is not valid JSON ({exc})") from None
+
+
+def _read_json(path: str):
+    """The JSON document in the file ``path``, read as ``_reading`` reads it."""
+    with _reading(path), open(path, "r", encoding="ascii") as fh:
+        return json.loads(fh.read())
+
+
+def _read_stencil(path: str) -> stencil.Stencil:
+    """``stencil.read_stencil``, its decoding errors raised as ``_reading``
+    raises them."""
+    with _reading(path):
+        return stencil.read_stencil(path)
 
 
 def cmd_spanoid(args) -> int:
@@ -303,7 +321,7 @@ def cmd_spanoid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    H = stencil.read_stencil(args.file)
+    H = _read_stencil(args.file)
     if args.certificate:
         doc = _read_json(args.certificate)
         if isinstance(doc, dict) and "certificate" in doc:
@@ -429,12 +447,8 @@ def main(argv=None) -> int:
             if (getattr(args, flag, None) or 0) < 0:
                 raise stencil.StencilError(f"--{flag.replace('_', '-')} must be >= 0")
         return args.func(args)
-    except (stencil.StencilError, OSError, json.JSONDecodeError) as exc:
+    except (stencil.StencilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not ASCII (byte {exc.object[exc.start]:#x} at offset "
-              f"{exc.start})", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input too deep (Python recursion limit exceeded)", file=sys.stderr)

@@ -429,10 +429,21 @@ _CHAIN_SETS = 1 << 15
 #: While the incumbent stalls, the search grants the root's ``_chain`` walk,
 #: with need = incumbent + 1, ``_ROOT_WORK`` units of work per stalled node
 #: and distinct row each time it has gone ``_ROOT_AFTER`` x 2^j nodes since
-#: the incumbent last rose.  The walk's cost thus stays within a constant
-#: factor of the stalled search it may end.
+#: the incumbent last rose, and ``_ROOT_WORK_AFTER_BEAM`` units once the
+#: beam has run.  The walk's cost thus stays within a constant factor of the
+#: stalled search it may end.  Before the beam most walks seek past an
+#: incumbent that is not final and cannot prove, so they get about a tenth
+#: of the search's time per node.  After it the incumbent is mostly final
+#: and its proof is the rest of the search, so the walk gets about the
+#: search's own time: on DRGP-64 (128 rows, about 3 ns a unit) 128 units a
+#: row cost about 50 us per stalled node, against 55 us of the search's own
+#: per node.  On a 2-vCPU Xeon, exact_sweep's median DRGP-64 op took 42.5
+#: ms at 16 and 29.6, 27.0 and 26.7 ms at post-beam rates of 64, 128 and
+#: 256, the last step within the runs' spread; 128 before the beam too
+#: slowed the tensor-gap-32 pool by 22-32%.
 _ROOT_AFTER = 32
 _ROOT_WORK = 16
+_ROOT_WORK_AFTER_BEAM = 128
 #: The search runs one ``_beam`` of ``_BEAM_WIDTH`` unions per level, at the
 #: first stall point past ``_BEAM_AFTER`` nodes whose root walk does not
 #: prove the incumbent, and takes its sequence when it beats the incumbent.
@@ -722,20 +733,24 @@ def _urm_search(
     one ``_chain`` walk per incumbent, asking whether any ``best + 1``
     rows form a triangular sequence.  Each time the search has gone
     ``_ROOT_AFTER``, twice that, four times that, ... nodes since the
-    incumbent last rose, it grants that walk ``_ROOT_WORK`` units per
-    stalled node and distinct row through ``_grant``: a walk that ran out of
-    work resumes where it paused, so no grant redoes the work of the ones
-    before it.  "No" completes the search; a rise of the incumbent
-    drops the walk, and the next stall point starts one for the new need.
+    incumbent last rose, it grants that walk ``rate`` units per stalled node
+    and distinct row through ``_grant``: a walk that ran out of work resumes
+    where it paused, so no grant redoes the work of the ones before it.
+    "No" completes the search; a rise of the incumbent drops the walk, and
+    the next stall point starts one for the new need.
     The first stall point past ``_BEAM_AFTER`` nodes whose walk answers
     "may extend" is followed by one ``_beam`` of ``_BEAM_WIDTH`` unions per
     level, floored at the incumbent: a primal heuristic that often reaches
     the optimum the depth-first order finds late.  Its sequence becomes the
     incumbent when it is longer, and the stall count restarts.
     The beam reads the search's deadline once per level, and is skipped when
-    value bitmasks are given.  The schedule, the grants and the beam's
-    trigger read node counts only, so the nodes a search spends stay
-    deterministic.
+    value bitmasks are given.  ``rate`` is ``_ROOT_WORK`` until the beam has
+    run and ``_ROOT_WORK_AFTER_BEAM`` from then on: the walk that proves the
+    beam's incumbent gets work at about the search's own rate per node,
+    while a search that runs no beam keeps the lower rate throughout.  On
+    the DRGP-64 pool (seeds 0-31) this ends the searches in 9,919 nodes, not
+    21,862.  The schedule, the grants and the beam's trigger read node
+    counts only, so the nodes a search spends stay deterministic.
 
     A row is one record (c, index, mask, fresh) throughout: the pass that
     drops duplicate rows builds the root's, (|mask|, index, mask, mask),
@@ -798,9 +813,10 @@ def _urm_search(
     nodes = 0
     # For the root's prune while the incumbent stalls: ``risen`` is the node
     # at which it last rose, ``walk`` the root walk for best + 1 (None until
-    # the first stall point after the rise), and the walk's next grant comes
-    # when the stall reaches ``stall``.
-    risen, stall, walk = 0, _ROOT_AFTER, None
+    # the first stall point after the rise), the walk's next grant comes
+    # when the stall reaches ``stall``, and ``rate`` is its work per stalled
+    # node and distinct row.
+    risen, stall, walk, rate = 0, _ROOT_AFTER, None, _ROOT_WORK
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
     # Frames of the nodes being expanded: (B, UR, depth, the node's ordered
     # live records as its children's candidates, iterator over the children
@@ -821,11 +837,11 @@ def _urm_search(
         elif nodes - risen == stall:
             if walk is None:
                 walk = _chain(root, root_union, best + 1, deadline)
-            if not _grant(walk, _ROOT_WORK * stall * len(root)):
+            if not _grant(walk, rate * stall * len(root)):
                 return best, best_seq, True
             stall *= 2
             if beam_due and nodes >= _BEAM_AFTER:
-                beam_due = False
+                beam_due, rate = False, _ROOT_WORK_AFTER_BEAM
                 value, beam_seq = _beam(root, n, _BEAM_WIDTH, deadline, best)
                 if value > best:
                     best, best_seq = value, beam_seq

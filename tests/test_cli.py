@@ -31,9 +31,7 @@ def assert_not_json_error(capsys, path, *argv):
     """The command, given the file ``path`` that does not parse as JSON,
     exits 2 with a one-line message naming it."""
     path.write_text('{"n": 3, "sets":')
-    assert_input_error(capsys, *argv)
-    main(list(argv))
-    assert f"error: {path} is not valid JSON (" in capsys.readouterr().err
+    assert assert_input_error(capsys, *argv).startswith(f"error: {path} is not valid JSON (")
 
 
 def run(capsys, *argv):
@@ -42,12 +40,14 @@ def run(capsys, *argv):
     return code, out
 
 
-def assert_input_error(capsys, *argv):
-    """The command exits 2 with a one-line message and no output."""
+def assert_input_error(capsys, *argv) -> str:
+    """The command exits 2 with a one-line message, which is returned, and
+    no output."""
     code = main(list(argv))
     cap = capsys.readouterr()
     assert code == 2 and cap.out == ""
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    return cap.err
 
 
 class TestGen:
@@ -104,15 +104,34 @@ class TestVrank:
         [(["vrank", "FILE"], b"stencil 2 2\n*\xc3\xa9\n0*\n"),
          (["spanoid", "rank", "FILE"], b'\xef\xbb\xbf{"n": 2, "sets": [[1, 2]]}'),
          (["verify", "STENCIL", "--certificate", "FILE"], b'{"rows": [1], "cols": ["\xe9"]}'),
-         (["experiment", "--spec", "FILE"], b'\xef\xbb\xbf{"family": "drgp"}')],
-        ids=["vrank-non-ascii", "spanoid-bom", "certificate-non-ascii", "spec-bom"],
+         (["experiment", "--spec", "FILE"], b'\xef\xbb\xbf{"family": "drgp"}'),
+         (["vrank", "FILE"], b"\xff"),
+         (["tensor", "FILE", "--power", "2"], b'{"rows": 1, "cols": 1, "stars": [[1, "\xe9"]]}'),
+         (["verify", "FILE", "--family", "drgp"], b"\xef\xbb\xbfstencil 0 0\n")],
+        ids=["vrank-non-ascii", "spanoid-bom", "certificate-non-ascii", "spec-bom",
+             "vrank-first-byte", "tensor-json-non-ascii", "verify-stencil-bom"],
     )
     def test_non_ascii_input_exit_2(self, capsys, tmp_path, d3_path, argv, data):
+        # The message names the file and its first byte past ASCII.
         p = tmp_path / "bad"
         p.write_bytes(data)
-        assert_input_error(
+        err = assert_input_error(
             capsys, *[{"FILE": str(p), "STENCIL": d3_path}.get(a, a) for a in argv]
         )
+        at = next(i for i, byte in enumerate(data) if byte > 127)
+        assert err == f"error: {p} is not ASCII (byte {data[at]:#x} at offset {at})\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["vrank"], ["tensor", "--power", "2"], ["certify", "--power", "2"],
+         ["minrank", "--field", "3"], ["witness", "--field", "67"],
+         ["verify", "--family", "drgp"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_stencil_not_json_exit_2(self, capsys, tmp_path, argv):
+        # A stencil document that opens as JSON and does not parse.
+        p = tmp_path / "h.json"
+        assert_not_json_error(capsys, p, argv[0], str(p), *argv[1:])
 
     @pytest.mark.parametrize(
         "labels",

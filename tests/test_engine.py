@@ -609,9 +609,9 @@ GOLDEN_CAPACITY = [
 #: budget and not with one node less.  The grants, the triggers and the caps
 #: of a search read node counts or work units only, never the clock.
 GOLDEN_NODES = [
-    ("drgp64s0", lambda b: visible_rank_exact(gen_drgp(64, 2, 0), node_budget=b).exact, 544),
+    ("drgp64s0", lambda b: visible_rank_exact(gen_drgp(64, 2, 0), node_budget=b).exact, 160),
     ("drgp32s0", lambda b: visible_rank_exact(gen_drgp(32, 2, 0), node_budget=b).exact, 90),
-    ("lcc64s0", lambda b: visible_rank_exact(gen_lcc(64, 3, 0.05, 0), node_budget=b).exact, 154),
+    ("lcc64s0", lambda b: visible_rank_exact(gen_lcc(64, 3, 0.05, 0), node_budget=b).exact, 122),
     ("lrc32s0", lambda b: visible_rank_exact(gen_lrc(32, 2, 0), node_budget=b).exact, 499),
     ("distinct_lrc6s0",
      lambda b: distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=b).exhaustive, 19_491),
@@ -922,10 +922,11 @@ class TestChain:
     def test_resumed_root_walk_node_count(self, make, budget):
         # Resumed across stall points instead of restarted with a doubled
         # cap, the root walk has about twice the work at each stall point
-        # and proves DRGP-64's optimum at 544 nodes.  DRGP-32's incumbent
-        # rises after a walk has started, and the walk for the new need
-        # proves it at 90 nodes; the old need's walk could never prove it,
-        # and the search would take 258.
+        # and proves DRGP-64's optimum at 544 nodes, or at 160 when granted
+        # at the post-beam rate.  DRGP-32's incumbent rises after a walk has
+        # started, and the walk for the new need proves it at 90 nodes; the
+        # old need's walk could never prove it, and the search would take
+        # 258.
         H = make()
         res = visible_rank_exact(H, node_budget=budget)
         assert res.exact and res.certificate.verify(H)
@@ -1003,6 +1004,49 @@ class TestRootProof:
             assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
         # Some of the searches were ended by a root walk.
         assert False in root_walks
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bruteforce_after_the_beam(self, root_walks, monkeypatch, seed):
+        # The beam at the first stall point, so that every later grant is
+        # made at the post-beam rate.  Stencils of fewer than six rows or
+        # columns seldom search past their beam; larger ones cost the
+        # oracle more, so there are 20 a seed.
+        monkeypatch.setattr(engine, "_BEAM_AFTER", 1)
+        beam = engine._beam
+
+        def recording(*args):
+            root_walks.append("beam")
+            return beam(*args)
+
+        monkeypatch.setattr(engine, "_beam", recording)
+        rng = rng_for(600 + seed)
+        ended_after_beam = 0
+        for _ in range(20):
+            m, n = int(rng.integers(6, 10)), int(rng.integers(6, 10))
+            H = random_stencil(rng, m, n, float(rng.choice([0.3, 0.5, 0.7])))
+            start = len(root_walks)
+            res = visible_rank_exact(H)
+            assert res.exact and res.lower_bound == brute_vrank(H)
+            assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
+            events = root_walks[start:]
+            ended_after_beam += "beam" in events and events[-1] is False
+        # Some of the searches were ended by a walk granted after their beam.
+        assert ended_after_beam
+
+    @pytest.mark.parametrize(
+        "make", [lambda s: gen_drgp(64, 2, s), lambda s: gen_lcc(64, 3, 0.05, s)],
+        ids=["drgp64", "lcc64"],
+    )
+    def test_post_beam_rate_keeps_the_result(self, monkeypatch, make):
+        # A walk ends a search only once its final incumbent has been found,
+        # so the post-beam rate moves where a search ends, not what it
+        # returns.
+        for seed in range(8):
+            H = make(seed)
+            fast = visible_rank_exact(H).to_json()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_ROOT_WORK_AFTER_BEAM", engine._ROOT_WORK)
+                assert visible_rank_exact(H).to_json() == fast
 
     @pytest.mark.parametrize(
         "H, value",
@@ -1132,8 +1176,9 @@ class TestBeamInSearch:
 
     def test_lcc64_node_count(self):
         # The beam raises the incumbent from 57 to the optimum 59 at node 90,
-        # the first stall point past 64 nodes, and a root walk proves it at
-        # node 154; without the beam the search takes 1170 nodes.
+        # the first stall point past 64 nodes, and a root walk, granted at
+        # the post-beam rate, proves it at node 122; without the beam the
+        # search takes 1170 nodes.
         H = gen_lcc(64, 3, 0.05, 0)
         res = visible_rank_exact(H, node_budget=400)
         assert res.exact and res.lower_bound == 59 and res.certificate.verify(H)
