@@ -266,10 +266,16 @@ def cmd_minrank(args) -> int:
 
 def cmd_witness(args) -> int:
     H = _read_stencil(args.file)
-    W = gf.low_rank_witness(H, args.field)
+    if args.construct == "stopping-set":
+        S = gf.stopping_set(H)
+        W = gf.stopping_set_witness(H, args.field, S)
+        extra = {"stopping_set": list(S)}
+    else:
+        W = gf.low_rank_witness(H, args.field)
+        d = max((((1 << H.n) - 1) & ~mask).bit_count() for mask in H.rows) if H.m else 0
+        extra = {"max_row_zeros": d}
     ok, _ = gf.validate_witness(W)
-    d = max((((1 << H.n) - 1) & ~mask).bit_count() for mask in H.rows) if H.m else 0
-    print(json.dumps({**W.to_json(), "rank": gf.gf_rank(W), "max_row_zeros": d}))
+    print(json.dumps({**W.to_json(), "rank": gf.gf_rank(W), **extra}))
     return 0 if ok else 1
 
 
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="construct an explicit witness")
     p.add_argument("file")
     p.add_argument("--field", type=int, required=True)
-    p.add_argument("--construct", choices=["low-rank"], default="low-rank")
+    p.add_argument("--construct", choices=["low-rank", "stopping-set"], default="low-rank")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("spanoid", help="symmetric spanoid rank / checks")

@@ -1,5 +1,6 @@
 """Finite-field side: witness validation, GF(p) rank, brute-force min-rank,
-and the polynomial low-rank witness construction.
+and two witness constructions, the polynomial low-rank witness and the
+stopping-set witness.
 
 Prime fields only, p <= 2^16.  Matrices are kept as tuples of tuples with
 values in 0..p-1; elimination is done in plain integer arithmetic, which at
@@ -226,5 +227,55 @@ def low_rank_witness(H: Stencil, p: int) -> WitnessMatrix:
             for a in zero_labels:
                 v = v * (labels[j] - a) % p
             row.append(v % p)
+        grid.append(tuple(row))
+    return WitnessMatrix(p, tuple(grid), H)
+
+
+def stopping_set(H: Stencil) -> tuple[int, ...]:
+    """The 1-based columns left when H's columns are peeled: a column is
+    dropped while it is the only active star of some row.
+
+    What is left is H's largest stopping set S, a set of columns that every
+    row meets in 0 or >= 2 columns (the union of two stopping sets is one,
+    and peeling never drops a column of a stopping set), so it does not
+    depend on the order of the drops.  S is empty exactly when vrk(H) = n:
+    the dropped columns, with the rows that dropped them, form a triangular
+    sub-stencil, and in a triangular sub-stencil on all n columns the row
+    whose pivot is the last pivot in S meets S in that pivot alone.
+    """
+    active, rows = (1 << H.n) - 1, H.rows
+    while True:
+        live = [mask & active for mask in rows]
+        single = [x for x in live if x and not x & (x - 1)]
+        if not single:
+            break
+        active &= ~sum(set(single))
+        rows = [x for x in live if x & (x - 1)]
+    return tuple(j + 1 for j in range(H.n) if active >> j & 1)
+
+
+def stopping_set_witness(
+    H: Stencil, p: int, S: tuple[int, ...] | None = None
+) -> WitnessMatrix:
+    """The stopping-set witness: every star is 1, except that in each row
+    meeting the stopping set S in k >= 2 columns, its star in the lowest
+    column of S is 1 - k.  Every row then sums to 0 over S, so W holds the
+    indicator of S in its kernel and has rank at most n - 1 whenever S is
+    nonempty.  S, 1-based columns, defaults to ``stopping_set(H)``, which is
+    nonempty whenever vrk(H) < n.
+
+    Requires p >= n, so that 1 - k is nonzero for every 2 <= k <= n; the
+    result then always validates.
+    """
+    _check_prime(p)
+    if p < H.n:
+        raise FieldError(f"stopping-set witness needs p >= n (p={p}, n={H.n})")
+    cols = sum(1 << (j - 1) for j in (stopping_set(H) if S is None else S))
+    grid = []
+    for mask in H.rows:
+        row = [mask >> j & 1 for j in range(H.n)]
+        meet = mask & cols
+        if meet:
+            row[(meet & -meet).bit_length() - 1] = (1 - meet.bit_count()) % p
         grid.append(tuple(row))
     return WitnessMatrix(p, tuple(grid), H)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import count, islice
 from operator import and_
 
 import numpy as np
@@ -24,7 +23,14 @@ import numpy as np
 from . import engine
 from .engine import DEFAULT_NODE_BUDGET, DiagonalCertificate, VrankResult
 from .families import row_groups
-from .gf import gf_rank, is_prime, low_rank_witness, validate_witness
+from .gf import (
+    WitnessMatrix,
+    gf_rank,
+    is_prime,
+    low_rank_witness,
+    stopping_set_witness,
+    validate_witness,
+)
 from .stencil import Stencil, StencilError
 
 DEFAULT_MAX_ENTRIES = 1 << 16
@@ -42,17 +48,13 @@ def tensor_product(H1: Stencil, H2: Stencil, max_entries: int = DEFAULT_MAX_ENTR
             f"product has {total} entries, over the limit of {max_entries}; "
             "use implicit certificate operations instead"
         )
+    # The copies of m2 that m1 spreads out do not overlap, so one multiply
+    # by the spread ORs them.
     n2 = H2.n
     masks = []
     for m1 in H1.rows:
-        for m2 in H2.rows:
-            mask = 0
-            rest = m1
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                mask |= m2 << ((bit.bit_length() - 1) * n2)
-            masks.append(mask)
+        spread = sum(1 << (j * n2) for j in range(H1.n) if m1 >> j & 1)
+        masks.extend(m2 * spread for m2 in H2.rows)
     rl = tuple(a + b for a in H1.row_labels for b in H2.row_labels)
     cl = tuple(a + b for a in H1.col_labels for b in H2.col_labels)
     return Stencil(H1.m * H2.m, H1.n * H2.n, tuple(masks), rl, cl)
@@ -182,66 +184,80 @@ class CapacityEstimate:
         }
 
 
-def _witness_rank(H: Stencil, k_max: int, max_entries: int) -> int | None:
-    """Smallest GF(p) rank of the polynomial witness of H for p the three
-    smallest primes >= max(n, 2).  Each witness is validated, so
-    vrk(H) <= rank(W), and its Kronecker powers are witnesses of the tensor
-    powers, so vrk(H^(xk)) <= rank(W)^k.
+def _witness_rank(H: Stencil, floor: int) -> int:
+    """Least GF(p) rank among witnesses of H, p the three smallest primes
+    >= max(n, 2): the stopping-set witness over the first, then, while the
+    least rank is above ``floor``, the polynomial witness over each in turn.
+    Each witness is validated (a failure raises), so vrk(H) <= rank(W), and
+    its Kronecker powers are witnesses of the tensor powers, so
+    vrk(H^(xk)) <= rank(W)^k.
 
-    None unless a level k >= 2 will be materialised: a stencil searched only
-    at level 1 does not pay for the eliminations.
+    ``floor`` is a certified lower bound on vrk(H), so a rank that meets it
+    is vrk(H) and no witness can beat it.  The stopping-set witness has rank
+    at most n - 1 whenever vrk(H) < n (see ``stopping_set_witness``), so it
+    alone often meets vrk(H); where it does not, the polynomial witnesses
+    may, as on stencils whose rows all miss few columns.
     """
-    if k_max < 2 or not _fits(H, 2, max_entries):
-        return None
-    ranks: list[int] = []
-    p = max(H.n, 2)
-    while len(ranks) < 3:
-        if is_prime(p):
-            W = low_rank_witness(H, p)
-            ok, at = validate_witness(W)
-            if not ok:
-                raise StencilError(f"the GF({p}) witness misses the star pattern at {at}")
-            ranks.append(gf_rank(W))
-        p += 1
-    return min(ranks)
+    primes = list(islice(filter(is_prime, count(max(H.n, 2))), 3))
+    w = _validated_rank(stopping_set_witness(H, primes[0]))
+    for p in primes:
+        if w <= floor:
+            break
+        w = min(w, _validated_rank(low_rank_witness(H, p)))
+    return w
+
+
+def _validated_rank(W: WitnessMatrix) -> int:
+    ok, at = validate_witness(W)
+    if not ok:
+        raise StencilError(f"the GF({W.p}) witness misses the star pattern at {at}")
+    return gf_rank(W)
 
 
 def _power_searches(
     H: Stencil,
     k_max: int,
-    w: int | None,
     node_budget: int,
     time_budget: float | None,
     max_entries: int,
-) -> Iterator[VrankResult]:
+) -> tuple[list[VrankResult], int | None]:
     """Search H^(xk) for k = 1, ..., k_max while ``_fits`` admits the power
-    (level 1 always).  Level k is seeded with level
-    k-1's certificate tensored with level 1's and, when the witness rank
-    ``w`` is known, given the upper bound w^k, which closes it without a
-    search once the seed meets it.  The search of level k >= 2 is given the
-    factor reversal of H^(xk) (see ``_reversal``) as a symmetry.  All levels
-    share the one deadline ``time_budget`` sets."""
+    (level 1 always); returns the levels' results and the witness rank w.
+
+    w is None unless a level k >= 2 fits: a stencil searched only at level 1
+    does not pay for the eliminations.  Otherwise w is ``_witness_rank`` with
+    the greedy bound as its floor, built before level 1 is searched, so that
+    a greedy incumbent that meets w closes level 1 at once.  Each level k is
+    given the upper bound w^k; a level k >= 2 is seeded with level k-1's
+    certificate tensored with level 1's, which closes it without a search
+    once the seed meets w^k, and its search is given the factor reversal of
+    H^(xk) (see ``_reversal``) as a symmetry.  All levels share the one
+    deadline ``time_budget`` sets."""
     deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
-    res1 = res = engine._visible_rank_exact(
+    w = None
+    if k_max >= 2 and _fits(H, 2, max_entries):
+        w = _witness_rank(H, engine.greedy_lower_bound(H)[0])
+    res1 = engine._visible_rank_exact(
         H, node_budget=node_budget, time_budget=time_budget, upper=w
     )
-    yield res1
-    Hk = H
+    levels, Hk = [res1], H
     for k in range(2, k_max + 1):
         if not _fits(H, k, max_entries):
-            return
+            break
         remaining = deadline - time.monotonic()
-        seed = tensor_certificate(Hk, res.certificate, H, res1.certificate)
+        seed = tensor_certificate(Hk, levels[-1].certificate, H, res1.certificate)
         Hk = tensor_product(Hk, H, max_entries=max_entries)
-        res = engine._visible_rank_exact(
-            Hk,
-            node_budget=node_budget,
-            time_budget=remaining,
-            initial=seed,
-            upper=None if w is None else w**k,
-            sym=_reversal(H.n, k),
+        levels.append(
+            engine._visible_rank_exact(
+                Hk,
+                node_budget=node_budget,
+                time_budget=remaining,
+                initial=seed,
+                upper=None if w is None else w**k,
+                sym=_reversal(H.n, k),
+            )
         )
-        yield res
+    return levels, w
 
 
 def _reversal(n: int, k: int) -> list[int]:
@@ -262,21 +278,21 @@ def capacity_lower_bound(
     sound upper bound.
 
     Powers that fit in ``max_entries`` are searched, each seeded with the
-    tensored certificate of the level below and bounded above by the witness
-    rank w^k (see ``_witness_rank``); the search of a level k >= 2 visits
-    each state once up to the factor reversal of H^(xk), which the module
-    note describes.  The upper bound of a searched level is the search's,
-    which is at most w^k.  Larger powers fall back to
-    vrk(H)^k, plus the implicit diagonal certificate when the row-label shape
-    admits one, below w^k, or below min(m, n)^k when no witness was built.
+    tensored certificate of the level below and bounded above by w^k, w the
+    least witness rank built (see ``_witness_rank``, which builds the
+    stopping-set witness first and the polynomial ones only while it stays
+    above H's greedy bound); the search of a level k >= 2 visits each state
+    once up to the factor reversal of H^(xk), which the module note
+    describes.  The upper bound of a searched level is the search's, which
+    is at most w^k.  Larger powers fall back to vrk(H)^k, plus the implicit
+    diagonal certificate when the row-label shape admits one, below w^k, or
+    below min(m, n)^k when no witness was built.
     """
     if k_max < 1:
         raise StencilError("tensor power requires k_max >= 1")
-    w = _witness_rank(H, k_max, max_entries)
-    searches = _power_searches(H, k_max, w, node_budget, time_budget, max_entries)
-    lower, upper = {}, {}
-    for k, res in enumerate(searches, start=1):
-        lower[k], upper[k] = res.lower_bound, res.upper_bound
+    levels, w = _power_searches(H, k_max, node_budget, time_budget, max_entries)
+    lower = {k: res.lower_bound for k, res in enumerate(levels, start=1)}
+    upper = {k: res.upper_bound for k, res in enumerate(levels, start=1)}
     cap = w if w is not None else min(H.m, H.n)
     groups = row_groups(H)
     for k in range(2, k_max + 1):
@@ -310,11 +326,10 @@ def tensor_power_vrank(
     time_budget: float | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> VrankResult:
-    """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop,
-    which searches every power below it, shares ``time_budget`` with them,
-    bounds each level by the witness rank of H and searches each level
-    k >= 2 up to its factor reversal."""
+    """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop
+    (see ``_power_searches``), which searches every power below it, shares
+    ``time_budget`` with them, bounds each level by the witness rank of H
+    and searches each level k >= 2 up to its factor reversal."""
     _check_power(H, k, max_entries)
-    w = _witness_rank(H, k, max_entries)
-    searches = _power_searches(H, k, w, node_budget, time_budget, max_entries)
-    return next(islice(searches, k - 1, None))
+    levels, _ = _power_searches(H, k, node_budget, time_budget, max_entries)
+    return levels[-1]

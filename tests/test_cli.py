@@ -9,7 +9,8 @@ import pytest
 from vrank import cli
 from vrank.cli import CSV_COLUMNS, ExperimentSpec, main, run_experiment
 from vrank.families import Family, FamilyParams, generate
-from vrank.gf import free_stars, minrank_bruteforce
+from vrank.stencil import read_stencil
+from vrank.gf import WitnessMatrix, free_stars, minrank_bruteforce, validate_witness
 
 
 @pytest.fixture
@@ -285,6 +286,49 @@ class TestMinrankWitness:
         with pytest.raises(SystemExit) as exc:
             main(["witness", d3_path, "--field", "5", "--construct", "foo"])
         assert exc.value.code == 2
+
+    def test_witness_default_output(self, capsys, d3_path):
+        code, out = run(capsys, "witness", d3_path, "--field", "5")
+        assert code == 0 and out == (
+            '{"p": 5, "entries": [[0, 1, 2], [4, 0, 1], [3, 4, 0]], "rank": 2, '
+            '"max_row_zeros": 1}\n'
+        )
+
+    def test_witness_stopping_set(self, capsys, tmp_path):
+        p = str(tmp_path / "h.json")
+        run(capsys, "gen", "--family", "drgp", "--n", "6", "--t", "2", "--seed", "0", "-o", p)
+        code, out = run(capsys, "witness", p, "--field", "7", "--construct", "stopping-set")
+        doc = json.loads(out)
+        H = read_stencil(p)
+        assert code == 0 and set(doc) == {"p", "entries", "rank", "stopping_set"}
+        assert doc["p"] == 7 and doc["rank"] == 5 and doc["stopping_set"] == [1, 2, 3, 4, 5]
+        W = WitnessMatrix(7, tuple(map(tuple, doc["entries"])), H)
+        assert validate_witness(W) == (True, None)
+        assert all(sum(row[j - 1] for j in doc["stopping_set"]) % 7 == 0 for row in W.entries)
+
+    def test_witness_stopping_set_empty(self, capsys, tmp_path):
+        p = tmp_path / "i3.stn"
+        p.write_text("stencil 3 3\n*00\n0*0\n00*\n")
+        code, out = run(capsys, "witness", str(p), "--field", "3", "--construct", "stopping-set")
+        assert code == 0 and json.loads(out) == {
+            "p": 3, "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "rank": 3, "stopping_set": [],
+        }
+
+    @pytest.mark.parametrize("construct", ["low-rank", "stopping-set"])
+    def test_witness_small_field_exit_2(self, capsys, d3_path, construct):
+        assert "p >= n" in assert_input_error(
+            capsys, "witness", d3_path, "--field", "2", "--construct", construct
+        )
+
+    @pytest.mark.parametrize("construct", ["low-rank", "stopping-set"])
+    def test_witness_invalid_exit_1(self, capsys, monkeypatch, d3_path, construct):
+        def broken(H, p, *_):
+            return WitnessMatrix(p, ((1,) * H.n,) * H.m, H)
+
+        name = {"low-rank": "low_rank_witness", "stopping-set": "stopping_set_witness"}
+        monkeypatch.setattr(cli.gf, name[construct], broken)
+        code, out = run(capsys, "witness", d3_path, "--field", "5", "--construct", construct)
+        assert code == 1 and json.loads(out)["entries"] == [[1, 1, 1]] * 3
 
 
 class TestSpanoid:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrank.engine as engine
+import vrank.tensor as tensor
 from tests.conftest import (
     brute_chain,
     brute_vrank,
@@ -30,6 +31,7 @@ from vrank.engine import (
     PROV_WITNESS,
     PROV_ZERO_RECT,
     DiagonalCertificate,
+    VrankResult,
     _beam,
     _certificate_from_sequence,
     _chain_walk,
@@ -615,11 +617,24 @@ GOLDEN_NODES = [
     ("lrc32s0", lambda b: visible_rank_exact(gen_lrc(32, 2, 0), node_budget=b).exact, 499),
     ("distinct_lrc6s0",
      lambda b: distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=b).exhaustive, 19_491),
-    # Level 2, searched up to the factor reversal, proves 25 (10,715 nodes
-    # without it); level 1 takes fewer nodes.
+    # Level 2 searched up to the factor reversal from its tensored seed
+    # proves 25 (10,715 nodes without the reversal).
+    ("reversal_drgp6s0", lambda b: reversal_square(gen_drgp(6, 2, 0), b).exact, 5_650),
+    # The power loop searches level 1 only: its stopping-set witness has
+    # rank 5 = vrk, so 5^2 closes level 2 at the tensored seed.
     ("power_drgp6s0",
-     lambda b: tensor_power_vrank(gen_drgp(6, 2, 0), 2, node_budget=b).exact, 5_650),
+     lambda b: tensor_power_vrank(gen_drgp(6, 2, 0), 2, node_budget=b).exact, 6),
 ]
+
+
+def reversal_square(H: Stencil, node_budget: int) -> VrankResult:
+    """The bare level-2 search of H's tensor square, up to its factor
+    reversal and seeded with level 1's certificate tensored with itself."""
+    c = visible_rank_exact(H).certificate
+    return engine._visible_rank_exact(
+        tensor_product(H, H), node_budget=node_budget,
+        initial=tensor_certificate(H, c, H, c), sym=tensor._reversal(H.n, 2),
+    )
 
 
 class TestGolden:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_minrank, random_stencil, rng_for, tensor_witness
+from tests.conftest import brute_minrank, brute_vrank, random_stencil, rng_for, tensor_witness
 from vrank.engine import visible_rank_exact
 from vrank.families import gen_drgp
 from vrank.gf import (
@@ -17,6 +17,8 @@ from vrank.gf import (
     is_prime,
     low_rank_witness,
     minrank_bruteforce,
+    stopping_set,
+    stopping_set_witness,
     validate_witness,
 )
 from vrank.stencil import Stencil
@@ -194,6 +196,64 @@ class TestLowRankWitness:
             H = d_n(n)
             rows = [[int(b) for b in row] for row in H.entries()]
             assert gf_rank_rows(rows, 2) >= n - 1
+
+
+#: Every prime up to 31, and the largest the fields support.
+PRIMES = [q for q in range(2, 32) if is_prime(q)] + [65521]
+
+
+class TestStoppingSetWitness:
+    @given(st.integers(0, 2**30), st.integers(0, 6), st.integers(0, 6),
+           st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+    @settings(max_examples=80, deadline=None)
+    def test_against_brute_force(self, seed, m, n, density):
+        H = random_stencil(rng_for(seed), m, n, density) if m else Stencil.from_rows([], n)
+        vrk = brute_vrank(H)
+        S = stopping_set(H)
+        assert all(len([j for j in S if H.star(i, j)]) != 1 for i in range(1, m + 1))
+        assert (not S) == (vrk == n)
+        for p in [q for q in PRIMES if q >= max(n, 2)]:
+            W = stopping_set_witness(H, p)
+            assert validate_witness(W)[0]
+            assert all(sum(row[j - 1] for j in S) % p == 0 for row in W.entries)
+            rank = gf_rank(W)
+            assert (rank <= n - 1) == (vrk < n)
+            assert rank >= vrk
+
+    def test_peeling_stops_on_the_largest_stopping_set(self):
+        # Rows {1}, {1, 2}, {3, 4}, {4, 5}, {3, 5}: peeling drops 1, then 2;
+        # {3, 4, 5} is a triangle every row meets in 0 or 2 columns.
+        H = Stencil.from_rows([0b00001, 0b00011, 0b01100, 0b11000, 0b10100], 5)
+        assert stopping_set(H) == (3, 4, 5)
+        W = stopping_set_witness(H, 5)
+        assert W.entries == ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 4, 1, 0),
+                             (0, 0, 0, 4, 1), (0, 0, 4, 0, 1))
+        assert gf_rank(W) == 4
+
+    def test_given_stopping_set(self):
+        # Two disjoint triangles: each alone is a stopping set, and both
+        # together are the largest.
+        H = Stencil.from_rows([0b000011, 0b000110, 0b000101, 0b011000, 0b110000, 0b101000], 6)
+        assert stopping_set(H) == (1, 2, 3, 4, 5, 6)
+        assert stopping_set_witness(H, 7, stopping_set(H)) == stopping_set_witness(H, 7)
+        W = stopping_set_witness(H, 7, (1, 2, 3))
+        assert validate_witness(W)[0]
+        assert all((row[0] + row[1] + row[2]) % 7 == 0 for row in W.entries)
+        assert W.entries[3:] == ((0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 1))
+
+    def test_drgp6_rank_five_above_gf2(self):
+        # vrk 5 and a GF(7) witness of rank 5, where no GF(2) witness of the
+        # same stencil has rank below 6.
+        H = gen_drgp(6, 2, 0)
+        assert gf_rank(stopping_set_witness(H, 7)) == 5
+        res = minrank_bruteforce(H, 2)
+        assert res.exhaustive and res.value == 6
+
+    def test_requires_large_field(self):
+        with pytest.raises(FieldError, match="p >= n"):
+            stopping_set_witness(D3, 2)
+        with pytest.raises(FieldError, match="not prime"):
+            stopping_set_witness(D3, 4)
 
 
 class TestTensorWitness:

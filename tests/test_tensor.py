@@ -12,6 +12,7 @@ from tests.conftest import (
     rng_for,
 )
 import vrank.engine as engine
+import vrank.gf as gf
 import vrank.tensor as tensor
 from vrank.engine import (
     PROV_WITNESS,
@@ -60,6 +61,25 @@ class TestProduct:
                     for b2 in range(1, 3):
                         want = a1 != b1 and a2 != b2
                         assert P.star((a1 - 1) * 2 + a2, (b1 - 1) * 2 + b2) == want
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_entrywise_rule(self, data, n1, n2):
+        # Any shapes, n2 = 1 and stencils without rows or with empty rows
+        # among them, in the module's row-major order.
+        H1, H2 = (
+            Stencil.from_rows(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4)), n)
+            for n in (n1, n2)
+        )
+        P = tensor_product(H1, H2)
+        assert (P.m, P.n) == (H1.m * H2.m, n1 * n2)
+        assert P.rows == tuple(
+            sum(1 << (b1 * n2 + b2) for b1 in range(n1) for b2 in range(n2)
+                if m1 >> b1 & 1 and m2 >> b2 & 1)
+            for m1 in H1.rows for m2 in H2.rows
+        )
+        assert P.row_labels == tuple(a + b for a in H1.row_labels for b in H2.row_labels)
+        assert P.col_labels == tuple(a + b for a in H1.col_labels for b in H2.col_labels)
 
     def test_labels_concatenate(self):
         P = tensor_product(I2, I2)
@@ -327,10 +347,11 @@ class TestCapacity:
 
         monkeypatch.setattr(tensor, "time", clock)
         monkeypatch.setattr(engine, "_visible_rank_exact", recording)
-        est = capacity_lower_bound(gen_drgp(6, 2, 0), 2, time_budget=0.01)
+        # vrk 6 and witness rank 7, so level 2 needs a search.
+        est = capacity_lower_bound(gen_drgp(8, 2, 0), 2, time_budget=0.01)
         assert len(ends) == 2 and max(ends) <= 0.02 + 0.01 + 1e-9
-        # Level 2 stops at once and keeps its tensored seed, 5^2.
-        assert est.per_level[2] == (25, False) and 25 < est.upper[2] <= 36
+        # Level 2 stops at once and keeps its tensored seed, 6^2.
+        assert est.per_level[2] == (36, False) and 36 < est.upper[2] <= 49
 
     def test_json_keyed_by_level(self):
         est = capacity_lower_bound(I2, 2)
@@ -338,9 +359,8 @@ class TestCapacity:
 
     def test_json_level_bracket(self):
         doc = capacity_lower_bound(gen_drgp(6, 2, 0), 2).to_json()["per_level"]
-        # The witness rank of this stencil is 6, one above its vrk 5.
         assert doc["1"] == {"lower": 5, "upper": 5, "exact": True}
-        assert doc["2"]["upper"] <= 36 and doc["2"]["exact"]
+        assert doc["2"] == {"lower": 25, "upper": 25, "exact": True}
 
 
 def reversal_search(H: Stencil, k: int) -> int:
@@ -362,21 +382,85 @@ def reversal_search(H: Stencil, k: int) -> int:
     return value
 
 
+def cyclic_pairs(n: int) -> Stencil:
+    """n x n, row i missing columns i and i + 1 (mod n): vrk 3, polynomial
+    witness rank 3, stopping-set witness rank n - 1."""
+    full = (1 << n) - 1
+    return Stencil.from_rows([full & ~(1 << i | 1 << (i + 1) % n) for i in range(n)], n)
+
+
 class TestWitnessBound:
     def test_level_two_closed_without_search(self, monkeypatch):
-        calls = []
-        search = engine._urm_search
+        # The stopping-set witness has rank 5 = vrk, so 5^2 meets the
+        # tensored seed.  The greedy bound 4 is below every witness rank, so
+        # each call builds and validates all four witnesses.
+        calls, checked = [], []
+        search, validate = engine._urm_search, tensor.validate_witness
 
         def counting(masks, n, *args, **kwargs):
             calls.append(n)
             return search(masks, n, *args, **kwargs)
 
+        def recording(W):
+            checked.append(validate(W))
+            return checked[-1]
+
         monkeypatch.setattr(engine, "_urm_search", counting)
-        H = gen_drgp(6, 2, 5)
-        est = capacity_lower_bound(H, 2)
-        assert est.per_level == {1: (5, True), 2: (25, True)}
-        assert est.upper == {1: 5, 2: 25}
+        monkeypatch.setattr(tensor, "validate_witness", recording)
+        for seed in (0, 4, 5):
+            H = gen_drgp(6, 2, seed)
+            est = capacity_lower_bound(H, 2)
+            assert est.per_level == {1: (5, True), 2: (25, True)}
+            assert est.upper == {1: 5, 2: 25}
+            res = tensor_power_vrank(H, 2)
+            assert res.exact and res.lower_bound == 25
         assert H.n * H.n not in calls
+        assert checked == [(True, None)] * 24
+
+    @pytest.mark.parametrize(
+        "H, builds",
+        [(gen_drgp(4, 2, 0), 0), (gen_drgp(6, 2, 0), 3), (gen_drgp(8, 2, 0), 3),
+         (cyclic_pairs(8), 1)],
+        ids=["drgp4s0", "drgp6s0", "drgp8s0", "cyclic8"],
+    )
+    def test_polynomial_witnesses_only_above_greedy(self, monkeypatch, H, builds):
+        # DRGP-4 seed 0: greedy bound 3 = stopping-set rank.  DRGP-6 and -8
+        # seed 0: greedy bound 4 below every rank.  cyclic_pairs(8): greedy
+        # bound 3 = the first polynomial rank.
+        built = []
+        build = tensor.low_rank_witness
+
+        def counting(H, p):
+            built.append(p)
+            return build(H, p)
+
+        monkeypatch.setattr(tensor, "low_rank_witness", counting)
+        # 200 nodes prove level 1 of each; a level-2 search stops on them.
+        (res1, _), _ = tensor._power_searches(H, 2, 200, None, tensor.DEFAULT_MAX_ENTRIES)
+        assert res1.exact and len(built) == builds
+
+    def test_polynomial_witness_closes_level_one(self, monkeypatch):
+        # The stopping-set witness rank 7 is above the greedy bound 3, so the
+        # polynomial witness, rank 3, is built before level 1 and closes it
+        # with no search, as 3^2 closes level 2.
+        monkeypatch.setattr(engine, "_urm_search", None)
+        H = cyclic_pairs(8)
+        (res1, res2), w = tensor._power_searches(H, 2, 0, None, tensor.DEFAULT_MAX_ENTRIES)
+        assert w == 3 and (res1.lower_bound, res1.upper_bound) == (3, 3)
+        assert res1.exact and res1.upper_provenance == PROV_WITNESS
+        assert res2.exact and res2.lower_bound == 9
+        assert capacity_lower_bound(H, 3, node_budget=0, max_entries=1 << 12).upper == {
+            1: 3, 2: 9, 3: 27,
+        }
+
+    def test_invalid_witness_raises(self, monkeypatch):
+        def broken(H, p):
+            W = gf.stopping_set_witness(H, p)
+            return gf.WitnessMatrix(p, ((0,) * H.n,) + W.entries[1:], H)
+
+        monkeypatch.setattr(tensor, "stopping_set_witness", broken)
+        with pytest.raises(StencilError, match="misses the star pattern"):
+            capacity_lower_bound(gen_drgp(6, 2, 0), 2)
 
     def test_tensor_power_vrank_reports_witness(self):
         H = gen_drgp(6, 2, 5)
@@ -405,6 +489,7 @@ class TestWitnessBound:
 
     def test_no_witness_without_a_second_level(self, monkeypatch):
         monkeypatch.setattr(tensor, "low_rank_witness", None)
+        monkeypatch.setattr(tensor, "stopping_set_witness", None)
         H = gen_drgp(9, 2, 2)
         est = capacity_lower_bound(H, 2, max_entries=1)
         assert est.upper == {1: est.per_level[1][0], 2: 81}
