@@ -360,21 +360,11 @@ def visible_rank_exact(
     budget the result degrades to a sound bracket (``exact=False``) holding
     the best certificate found, with the upper bound min(matching,
     zero-rectangle, ``upper``).  The zero-rectangle bound is computed only in
-    that case: a search that completes proves its value without it.
+    that case: a search that completes proves its value without it.  When
+    H's column labels are tuples of two or more, the search visits each
+    state once up to the first label reversal that is an automorphism of H
+    (see ``_label_flip``), such as the factor reversal of a tensor power.
     """
-    return _visible_rank_exact(H, node_budget, time_budget, initial, upper)
-
-
-def _visible_rank_exact(
-    H: Stencil,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: float | None = None,
-    initial: DiagonalCertificate | None = None,
-    upper: int | None = None,
-    sym: list[int] | None = None,
-) -> VrankResult:
-    """``visible_rank_exact`` with the column involution ``sym`` of H, if
-    any, handed to the search (see ``_urm_search``)."""
     best, best_cert = greedy_lower_bound(H)
     if initial is not None and initial.size > best:
         if not initial.verify(H):
@@ -388,7 +378,7 @@ def _visible_rank_exact(
         return VrankResult(best, best, best_cert, PROV_MATCHING, exact=True)
 
     value, pairs, completed = _urm_search(
-        list(H.rows), H.n, best, node_budget, time_budget, sym=sym
+        list(H.rows), H.n, best, node_budget, time_budget, flip=_label_flip(H)
     )
     if pairs is not None:
         best = value
@@ -720,7 +710,7 @@ def _urm_search(
     time_budget: float | None,
     row_vals: list[int] | None = None,
     col_vals: list[int] | None = None,
-    sym: list[int] | None = None,
+    flip: Callable[[int], int] | None = None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """Core search.  Returns (best, improving sequence or None, completed).
 
@@ -767,13 +757,13 @@ def _urm_search(
     The memo keeps, per state, the greatest depth at which the search
     entered it, and a node entered no deeper than that is not expanded
     again.  A state is B alone: the node's candidates are every distinct row
-    live at B, and B grows strictly along a path.  ``sym``, a column
-    permutation of H given as 0-based images, is an automorphism when it
-    maps the distinct nonzero rows onto themselves; it then maps the subtree
-    at B onto the one at sym(B), at equal depths, so the memo keys each
-    state by min(B, sym(B)).  The search applies ``sym`` only when it is an
-    involution and an automorphism, and raises ``StencilError`` otherwise
-    (and for a value search, whose key holds more than B).
+    live at B, and B grows strictly along a path.  ``flip`` applies to a
+    column mask an involution s of the columns that maps the distinct
+    nonzero rows onto themselves (see ``_flip``).  Such an automorphism maps
+    the subtree at B onto the one at s(B), at equal depths, and {B, s(B)} is
+    the whole orbit of B, so the memo keys each state by min(B, s(B)).  A
+    value search, whose key holds more than B, raises ``StencilError`` when
+    given one.
 
     The value bitmasks ``row_vals`` and ``col_vals``, given together or not
     at all, keep the rows, and the pivot columns, pairwise disjoint in
@@ -802,10 +792,8 @@ def _urm_search(
             seen_rows.add(key)
             root.append((mask.bit_count(), idx, mask, mask))
             root_union |= mask
-    if sym is not None:
-        if values:
-            raise StencilError("a value search takes no column symmetry")
-        flip = _flip(sym, n, seen_rows)
+    if flip is not None and values:
+        raise StencilError("a value search takes no column symmetry")
 
     best = incumbent
     best_seq: list[tuple[int, int]] | None = None
@@ -846,7 +834,7 @@ def _urm_search(
                 if value > best:
                     best, best_seq = value, beam_seq
                     risen, stall, walk = nodes, _ROOT_AFTER, None
-        key = B | UR if sym is None else min(B, flip(B))
+        key = B | UR if flip is None else min(B, flip(B))
         prev = visited.get(key)
         if prev is None or prev < depth:
             visited[key] = depth
@@ -889,13 +877,34 @@ def _urm_search(
             return best, best_seq, True
 
 
-def _flip(sym: list[int], n: int, rows: set[int]) -> Callable[[int], int]:
-    """The map of n-column masks that moves column c to ``sym[c]``, by one
-    256-entry table per byte of the mask.  Raises ``StencilError`` unless
-    ``sym`` is an involution of the columns that maps the masks ``rows``
-    onto themselves."""
-    if len(sym) != n or not all(0 <= c < n and sym[c] == j for j, c in enumerate(sym)):
-        raise StencilError("the column symmetry is not an involution")
+def _label_flip(H: Stencil) -> Callable[[int], int] | None:
+    """The column-mask map of the first label reversal of H that is an
+    automorphism, or None.  For each b < a that divides H's column-label
+    arity a, smallest first, s_b cuts every column label into blocks of
+    length b and reverses their order; labels are distinct, so s_b is an
+    involution when it maps them onto themselves.  ``tensor_product``
+    concatenates labels, so s_1 is the factor reversal of every power of a
+    stencil with 1-tuple labels, and s_(a/k) that of H^(xk) for any labels."""
+    a = H.col_arity
+    if a < 2:
+        return None
+    index = {lab: c for c, lab in enumerate(H.col_labels)}
+    rows = set(H.rows) - {0}
+    for b in (b for b in range(1, a) if a % b == 0):
+        rev = [index.get(sum((lab[i : i + b] for i in range(a - b, -1, -b)), ()))
+               for lab in H.col_labels]
+        flip = None if None in rev else _flip(rev, rows)
+        if flip is not None:
+            return flip
+    return None
+
+
+def _flip(sym: list[int], rows: set[int]) -> Callable[[int], int] | None:
+    """The map of column masks that moves column c to ``sym[c]``, by one
+    256-entry table per byte of the mask, or None unless it maps the masks
+    ``rows`` onto themselves.  ``sym`` is an involution of the columns,
+    given as 0-based images."""
+    n = len(sym)
     size = -(-n // 8)
     tables = []
     for base in range(0, 8 * size, 8):
@@ -909,9 +918,7 @@ def _flip(sym: list[int], n: int, rows: set[int]) -> Callable[[int], int]:
         # The bytes' images are disjoint, so their sum is their union.
         return sum(map(list.__getitem__, tables, mask.to_bytes(size, "little")))
 
-    if {flip(mask) for mask in rows} != rows:
-        raise StencilError("the column symmetry does not map the rows onto themselves")
-    return flip
+    return flip if {flip(mask) for mask in rows} == rows else None
 
 
 def _pivot_classes(live, conflict: list[int]) -> list[tuple[int, int, int, int]]:

@@ -4,9 +4,6 @@ Tensor ordering is fixed as row-major lexicographic on factor indices: the
 product row for factor rows (a1, a2) sits at index (a1-1)*m2 + a2, and labels
 are concatenated tuples.  Visible rank is permutation-invariant, so any fixed
 bijection would do; this one makes implicit certificate arithmetic mechanical.
-It also fixes the factor reversal of H^(xk): the column permutation
-(c1, ..., ck) -> (ck, ..., c1), an involution that maps the rows of the
-power onto themselves, which the search of a power uses as a symmetry.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
 from operator import and_
-
-import numpy as np
 
 from . import engine
 from .engine import DEFAULT_NODE_BUDGET, DiagonalCertificate, VrankResult
@@ -230,14 +225,15 @@ def _power_searches(
     a greedy incumbent that meets w closes level 1 at once.  Each level k is
     given the upper bound w^k; a level k >= 2 is seeded with level k-1's
     certificate tensored with level 1's, which closes it without a search
-    once the seed meets w^k, and its search is given the factor reversal of
-    H^(xk) (see ``_reversal``) as a symmetry.  All levels share the one
-    deadline ``time_budget`` sets."""
+    once the seed meets w^k.  Every level is one ``visible_rank_exact``
+    call, whose search of H^(xk) finds its factor reversal from the
+    concatenated column labels.  All levels share the one deadline
+    ``time_budget`` sets."""
     deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
     w = None
     if k_max >= 2 and _fits(H, 2, max_entries):
         w = _witness_rank(H, engine.greedy_lower_bound(H)[0])
-    res1 = engine._visible_rank_exact(
+    res1 = engine.visible_rank_exact(
         H, node_budget=node_budget, time_budget=time_budget, upper=w
     )
     levels, Hk = [res1], H
@@ -248,23 +244,15 @@ def _power_searches(
         seed = tensor_certificate(Hk, levels[-1].certificate, H, res1.certificate)
         Hk = tensor_product(Hk, H, max_entries=max_entries)
         levels.append(
-            engine._visible_rank_exact(
+            engine.visible_rank_exact(
                 Hk,
                 node_budget=node_budget,
                 time_budget=remaining,
                 initial=seed,
                 upper=None if w is None else w**k,
-                sym=_reversal(H.n, k),
             )
         )
     return levels, w
-
-
-def _reversal(n: int, k: int) -> list[int]:
-    """The factor reversal of the n^k columns of a k-th tensor power in the
-    module's row-major order: column (c1, ..., ck), 0-based, goes to
-    (ck, ..., c1)."""
-    return np.arange(n**k).reshape((n,) * k).transpose().ravel().tolist()
 
 
 def capacity_lower_bound(
@@ -282,9 +270,10 @@ def capacity_lower_bound(
     least witness rank built (see ``_witness_rank``, which builds the
     stopping-set witness first and the polynomial ones only while it stays
     above H's greedy bound); the search of a level k >= 2 visits each state
-    once up to the factor reversal of H^(xk), which the module note
-    describes.  The upper bound of a searched level is the search's, which
-    is at most w^k.  Larger powers fall back to vrk(H)^k, plus the implicit
+    once up to a reversal of H^(xk)'s column labels, (c1, ..., ck) ->
+    (ck, ..., c1) for a base with 1-tuple labels (see
+    ``engine._label_flip``).  The upper bound of a searched level is the
+    search's, which is at most w^k.  Larger powers fall back to vrk(H)^k, plus the implicit
     diagonal certificate when the row-label shape admits one, below w^k, or
     below min(m, n)^k when no witness was built.
     """
@@ -329,7 +318,8 @@ def tensor_power_vrank(
     """Exact-or-bounded vrk of H^(xk): the level-k search of the power loop
     (see ``_power_searches``), which searches every power below it, shares
     ``time_budget`` with them, bounds each level by the witness rank of H
-    and searches each level k >= 2 up to its factor reversal."""
+    and searches each level k >= 2 up to the factor reversal that
+    ``visible_rank_exact`` reads off its column labels."""
     _check_power(H, k, max_entries)
     levels, _ = _power_searches(H, k, node_budget, time_budget, max_entries)
     return levels[-1]

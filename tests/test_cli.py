@@ -6,11 +6,12 @@ import math
 
 import pytest
 
-from vrank import cli
+from vrank import cli, engine
 from vrank.cli import CSV_COLUMNS, ExperimentSpec, main, run_experiment
 from vrank.families import Family, FamilyParams, generate
 from vrank.stencil import read_stencil
 from vrank.gf import WitnessMatrix, free_stars, minrank_bruteforce, validate_witness
+from vrank.tensor import tensor_power_vrank
 
 
 @pytest.fixture
@@ -227,6 +228,27 @@ class TestTensor:
         code, out = run(capsys, "vrank", out_path)
         doc = json.loads(out)
         assert code == 0 and doc["lower"] == doc["upper"] == 4
+
+    def test_read_back_power_searched_up_to_reversal(self, capsys, tmp_path, monkeypatch):
+        # The power written to JSON keeps its labels, from which the search
+        # of the read-back power finds the factor reversal.
+        h, p = str(tmp_path / "h.json"), str(tmp_path / "p.json")
+        run(capsys, "gen", "--family", "drgp", "--n", "6", "--t", "2", "--seed", "0", "-o", h)
+        run(capsys, "tensor", h, "--power", "2", "-o", p)
+        want = tensor_power_vrank(read_stencil(h), 2)
+        flips, search = [], engine._urm_search
+
+        def recording(*args, flip=None, **kwargs):
+            flips.append(flip)
+            return search(*args, flip=flip, **kwargs)
+
+        monkeypatch.setattr(engine, "_urm_search", recording)
+        code, out = run(capsys, "vrank", p)
+        doc = json.loads(out)
+        assert code == 0 and len(flips) == 1 and flips[0] is not None
+        assert (doc["lower"], doc["upper"], doc["exact"]) == (
+            want.lower_bound, want.upper_bound, want.exact,
+        ) == (25, 25, True)
 
     def test_write_power_one_past_the_entry_limit(self, capsys, tmp_path):
         # 512 x 256 = 131,072 entries, over the limit that binds powers k >= 2.

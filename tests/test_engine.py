@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrank.engine as engine
-import vrank.tensor as tensor
 from tests.conftest import (
     brute_chain,
     brute_vrank,
@@ -62,7 +61,9 @@ from vrank.stencil import (
     StencilError,
     SubsetError,
     max_matching_size,
+    stencil_from_json_doc,
     substencil,
+    to_json_doc,
 )
 
 I3 = Stencil.from_rows([1, 2, 4], 3)
@@ -620,6 +621,12 @@ GOLDEN_NODES = [
     # Level 2 searched up to the factor reversal from its tensored seed
     # proves 25 (10,715 nodes without the reversal).
     ("reversal_drgp6s0", lambda b: reversal_square(gen_drgp(6, 2, 0), b).exact, 5_650),
+    # The same square read back from a JSON document, searched from its
+    # greedy incumbent: its labels still give the reversal (10,719 nodes
+    # without it).
+    ("readback_drgp6s0",
+     lambda b: visible_rank_exact(read_back_square(gen_drgp(6, 2, 0)), node_budget=b).exact,
+     5_654),
     # The power loop searches level 1 only: its stopping-set witness has
     # rank 5 = vrk, so 5^2 closes level 2 at the tensored seed.
     ("power_drgp6s0",
@@ -628,13 +635,18 @@ GOLDEN_NODES = [
 
 
 def reversal_square(H: Stencil, node_budget: int) -> VrankResult:
-    """The bare level-2 search of H's tensor square, up to its factor
-    reversal and seeded with level 1's certificate tensored with itself."""
+    """The bare level-2 search of H's tensor square, seeded with level 1's
+    certificate tensored with itself; the search reads the factor reversal
+    off the square's column labels."""
     c = visible_rank_exact(H).certificate
-    return engine._visible_rank_exact(
-        tensor_product(H, H), node_budget=node_budget,
-        initial=tensor_certificate(H, c, H, c), sym=tensor._reversal(H.n, 2),
+    return visible_rank_exact(
+        tensor_product(H, H), node_budget=node_budget, initial=tensor_certificate(H, c, H, c)
     )
+
+
+def read_back_square(H: Stencil) -> Stencil:
+    """H's tensor square after a round trip through its JSON document."""
+    return stencil_from_json_doc(json.loads(json.dumps(to_json_doc(tensor_product(H, H)))))
 
 
 class TestGolden:

@@ -339,14 +339,14 @@ class TestCapacity:
                 return self.now
 
         clock, ends = Clock(), []
-        search = engine._visible_rank_exact
+        search = engine.visible_rank_exact
 
         def recording(H, **kwargs):
             ends.append(clock.now + kwargs["time_budget"])
             return search(H, **kwargs)
 
         monkeypatch.setattr(tensor, "time", clock)
-        monkeypatch.setattr(engine, "_visible_rank_exact", recording)
+        monkeypatch.setattr(engine, "visible_rank_exact", recording)
         # vrk 6 and witness rank 7, so level 2 needs a search.
         est = capacity_lower_bound(gen_drgp(8, 2, 0), 2, time_budget=0.01)
         assert len(ends) == 2 and max(ends) <= 0.02 + 0.01 + 1e-9
@@ -364,21 +364,22 @@ class TestCapacity:
 
 
 def reversal_search(H: Stencil, k: int) -> int:
-    """vrk(H^(xk)) by the search under the factor reversal, checked against
-    the plain search of the same power, each from its greedy incumbent and
-    from 0; every certificate must replay."""
+    """vrk(H^(xk)) by the public search, which reads the factor reversal off
+    the power's column labels, checked against the bare search of the same
+    power from 0 without the reversal and with it; every certificate must
+    replay."""
     P = tensor_power(H, k)
-    sym = tensor._reversal(H.n, k)
-    plain = visible_rank_exact(P)
-    res = engine._visible_rank_exact(P, sym=sym)
-    assert plain.exact and res.exact and res.lower_bound == plain.lower_bound
-    assert res.certificate.verify(P) and plain.certificate.verify(P)
-    value, pairs, completed = engine._urm_search(
-        list(P.rows), P.n, 0, DEFAULT_NODE_BUDGET, None, sym=sym
-    )
-    assert completed and value == plain.lower_bound
-    cert = engine._certificate_from_sequence(P, pairs or [])
-    assert cert.size == value and cert.verify(P)
+    res = visible_rank_exact(P)
+    assert res.exact and res.certificate.verify(P)
+    flip = engine._label_flip(P)
+    assert flip is not None
+    for f in (None, flip):
+        value, pairs, completed = engine._urm_search(
+            list(P.rows), P.n, 0, DEFAULT_NODE_BUDGET, None, flip=f
+        )
+        assert completed and value == res.lower_bound
+        cert = engine._certificate_from_sequence(P, pairs or [])
+        assert cert.size == value and cert.verify(P)
     return value
 
 
@@ -502,7 +503,7 @@ class TestPowerVrank:
             H = random_stencil(rng_for(seed), 4, 4)
             a = tensor_power_vrank(H, 2)
             b = visible_rank_exact(tensor_power(H, 2))
-            assert a.exact and b.exact and a.lower_bound == b.lower_bound
+            assert a.exact and b.exact and a.lower_bound == b.lower_bound == reversal_search(H, 2)
 
     def test_level_three_matches_capacity_and_plain(self):
         for seed in range(6):
@@ -516,15 +517,52 @@ class TestPowerVrank:
                 assert a.certificate.verify(tensor_power(H, 3))
 
 
+def tagged(H: Stencil) -> Stencil:
+    """H with column j labeled (j, 7)."""
+    return Stencil.from_rows(list(H.rows), H.n, H.row_labels, [(j, 7) for j in range(1, H.n + 1)])
+
+
+def images(flip, n: int) -> list[int]:
+    """The 0-based column images of a column-mask map."""
+    return [flip(1 << c).bit_length() - 1 for c in range(n)]
+
+
+def search_checked(H: Stencil) -> int:
+    """vrk(H) by the public search, and by the bare search from 0 under the
+    symmetry ``_label_flip`` derives, each checked against the brute-force
+    oracle; every certificate must replay."""
+    value = brute_vrank(H)
+    res = visible_rank_exact(H)
+    assert res.exact and res.lower_bound == value and res.certificate.verify(H)
+    found, pairs, completed = engine._urm_search(
+        list(H.rows), H.n, 0, DEFAULT_NODE_BUDGET, None, flip=engine._label_flip(H)
+    )
+    cert = engine._certificate_from_sequence(H, pairs or [])
+    assert completed and found == cert.size == value and cert.verify(H)
+    return value
+
+
 class TestReversalSymmetry:
     def test_reversal_maps_the_power_onto_itself(self):
+        # H^(x3)'s labels are (c1, c2, c3): the search takes the factor
+        # reversal, (c1, c2, c3) -> (c3, c2, c1).
         H = random_stencil(rng_for(3), 3, 4)
         P = tensor_power(H, 3)
-        sym = tensor._reversal(H.n, 3)
+        flip = engine._label_flip(P)
+        sym = images(flip, P.n)
         assert sym[(1 * 4 + 2) * 4 + 3] == (3 * 4 + 2) * 4 + 1
+        assert all(P.col_labels[sym[c]] == P.col_labels[c][::-1] for c in range(P.n))
         assert all(sym[sym[c]] == c for c in range(P.n))
         moved = [sum(1 << sym[c] for c in range(P.n) if mask >> c & 1) for mask in P.rows]
-        assert sorted(moved) == sorted(P.rows)
+        assert moved == [flip(mask) for mask in P.rows] and sorted(moved) == sorted(P.rows)
+
+    def test_tagged_labels_take_the_block_reversal(self):
+        # The square's labels are (j, 7, j', 7), whose reversal (7, j', 7, j)
+        # is no label, so the search takes the reversal of blocks of two.
+        P = tensor_power(tagged(random_stencil(rng_for(3), 3, 4)), 2)
+        sym = images(engine._label_flip(P), P.n)
+        assert all(P.col_labels[sym[c]] == P.col_labels[c][2:] + P.col_labels[c][:2]
+                   for c in range(P.n))
 
     @pytest.mark.parametrize(
         "n, seed", [(4, s) for s in range(6)] + [(5, s) for s in range(6)] + [(6, 0), (6, 4)]
@@ -535,22 +573,63 @@ class TestReversalSymmetry:
         # node budget.
         reversal_search(gen_drgp(n, 2, seed), 2)
 
-    @pytest.mark.parametrize(
-        "sym, match",
-        [([1, 2, 0, 3], "not an involution"), ([1, 0, 2], "not an involution"),
-         ([0, 1, 2, 4], "not an involution"), ([1, 0, 2, 3], "onto themselves")],
-        ids=["three-cycle", "short", "out-of-range", "not-an-automorphism"],
+    def test_reversal_that_is_no_automorphism_not_applied(self):
+        # Labels (i, j) over [4] x [4] are closed under reversal, but the
+        # rows of DRGP-16 seed 0 are not closed under it: the search runs as
+        # with 1-tuple labels, to the node, proving 9 in 36 nodes.
+        H = gen_drgp(16, 2, 0)
+        pairs = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        L = Stencil.from_rows(list(H.rows), H.n, H.row_labels, pairs)
+        assert engine._label_flip(L) is None
+        for budget in (35, 36):
+            res = visible_rank_exact(L, node_budget=budget)
+            assert res == visible_rank_exact(H, node_budget=budget)
+            assert res.exact == (budget == 36) and res.lower_bound == 9
+
+    @given(st.integers(0, 2**30), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_squares_match_oracle(self, seed, m, n, tag):
+        # 1-tuple base labels give the reversal of single entries, (j, 7)
+        # ones that of blocks of two; either is the factor reversal, which
+        # maps every tensor square onto itself.
+        H = random_stencil(rng_for(seed), m, n)
+        P = tensor_power(tagged(H) if tag else H, 2)
+        assert engine._label_flip(P) is not None
+        search_checked(P)
+
+    @given(
+        st.integers(0, 2**30),
+        st.integers(1, 3),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=9,
+                 unique=True),
+        st.sampled_from(["open", "closed", "symmetric"]),
     )
-    def test_bad_symmetry_refused(self, sym, match):
-        # Rows {0, 2}, {1} and {3}: swapping columns 0 and 1 is an
-        # involution, but {1, 2} is no row.
-        masks = [0b0101, 0b0010, 0b1000]
-        with pytest.raises(StencilError, match=match):
-            engine._urm_search(masks, 4, 0, DEFAULT_NODE_BUDGET, None, sym=sym)
+    @settings(max_examples=40, deadline=None)
+    def test_pair_labels_match_oracle(self, seed, m, labels, kind):
+        # Columns labeled by distinct pairs: the reversal applies iff it maps
+        # the labels onto the labels and the rows onto the rows.  "closed"
+        # closes the labels under it, "symmetric" the rows as well.
+        if kind != "open":
+            labels = sorted(set(labels) | {lab[::-1] for lab in labels})
+        n = len(labels)
+        sym = [labels.index(lab[::-1]) if lab[::-1] in labels else None for lab in labels]
+        rows = list(random_stencil(rng_for(seed), m, n).rows)
+
+        def moved(mask):
+            return sum(1 << sym[c] for c in range(n) if mask >> c & 1)
+
+        if kind == "symmetric":
+            rows += [moved(mask) for mask in rows]
+        applies = None not in sym and set(map(moved, rows)) == set(rows)
+        H = Stencil.from_rows(rows, n, None, labels)
+        assert (engine._label_flip(H) is not None) == applies
+        search_checked(H)
 
     def test_value_search_refuses_symmetry(self):
         P = tensor_power(I2, 2)
         vals = tensor._value_masks(P.row_labels)
+        flip = engine._label_flip(P)
+        assert flip is not None
         with pytest.raises(StencilError, match="value search"):
             engine._urm_search(list(P.rows), P.n, 0, DEFAULT_NODE_BUDGET, None,
-                               vals, vals, sym=tensor._reversal(2, 2))
+                               vals, vals, flip=flip)
