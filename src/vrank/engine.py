@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,40 +161,41 @@ class VrankResult:
         return json.dumps(self.to_json())
 
 
-def _peel(masks: list[int], r: int) -> list[tuple[int, int]] | None:
-    """Peel a square pattern (list of r masks over r columns).
+def _peel(masks: Sequence[int], active: int) -> tuple[list[tuple[int, int]], int]:
+    """Peel the columns of ``active``: in rounds over the live rows, a row that
+    meets ``active`` in exactly one column drops that column at once.
 
-    Returns the 0-based peel order, or None if peeling gets stuck.  Ties are
-    broken toward the lowest-index row for determinism.
+    Returns the 0-based (row, column) drops in order and the mask of the
+    columns left, the largest set inside ``active`` that no row meets in
+    exactly one column (it does not depend on the order of the drops).
     """
-    col_active = (1 << r) - 1
-    row_active = [True] * r
-    order: list[tuple[int, int]] = []
-    for _ in range(r):
-        found = -1
-        for i in range(r):
-            if row_active[i] and (masks[i] & col_active).bit_count() == 1:
-                found = i
-                break
-        if found < 0:
-            return None
-        bit = masks[found] & col_active
-        order.append((found, bit.bit_length() - 1))
-        row_active[found] = False
-        col_active &= ~bit
-    return order
+    drops: list[tuple[int, int]] = []
+    live: Sequence[int] = range(len(masks))
+    while True:
+        rest = []
+        for i in live:
+            x = masks[i] & active
+            if x & (x - 1):
+                rest.append(i)
+            elif x:
+                drops.append((i, x.bit_length() - 1))
+                active ^= x
+        if len(rest) == len(live):
+            return drops, active
+        live = rest
 
 
 def is_visibly_full_rank(M: Stencil) -> tuple[bool, DiagonalCertificate | None]:
-    """Decide whether the square stencil M has exactly one star diagonal.
+    """Decide whether the square stencil M has exactly one star diagonal,
+    that is, whether peeling drops all of its columns.
 
     On success also returns a certificate whose permutation pair
     triangularizes M.
     """
     if M.m != M.n:
         raise StencilError("is_visibly_full_rank requires a square stencil")
-    order = _peel(list(M.rows), M.n)
-    if order is None:
+    order, left = _peel(M.rows, (1 << M.n) - 1)
+    if left:
         return False, None
     r = M.n
     # Row peeled first belongs at the bottom of the triangular form.

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .engine import visible_rank_exact
+from .engine import _peel, visible_rank_exact
 from .stencil import Stencil, StencilError
 
 MAX_PRIME = 1 << 16
@@ -243,15 +243,8 @@ def stopping_set(H: Stencil) -> tuple[int, ...]:
     sub-stencil, and in a triangular sub-stencil on all n columns the row
     whose pivot is the last pivot in S meets S in that pivot alone.
     """
-    active, rows = (1 << H.n) - 1, H.rows
-    while True:
-        live = [mask & active for mask in rows]
-        single = [x for x in live if x and not x & (x - 1)]
-        if not single:
-            break
-        active &= ~sum(set(single))
-        rows = [x for x in live if x & (x - 1)]
-    return tuple(j + 1 for j in range(H.n) if active >> j & 1)
+    left = _peel(H.rows, (1 << H.n) - 1)[1]
+    return tuple(j + 1 for j in range(H.n) if left >> j & 1)
 
 
 def stopping_set_witness(
@@ -264,18 +257,26 @@ def stopping_set_witness(
     nonempty.  S, 1-based columns, defaults to ``stopping_set(H)``, which is
     nonempty whenever vrk(H) < n.
 
-    Requires p >= n, so that 1 - k is nonzero for every 2 <= k <= n; the
-    result then always validates.
+    Requires p >= n, so that 1 - k is nonzero for every 2 <= k <= n, and
+    raises ``FieldError`` unless S holds distinct columns in [1, n] that no
+    row meets in exactly one column; the result then always validates.
     """
     _check_prime(p)
     if p < H.n:
         raise FieldError(f"stopping-set witness needs p >= n (p={p}, n={H.n})")
-    cols = sum(1 << (j - 1) for j in (stopping_set(H) if S is None else S))
+    if S is None:
+        S = stopping_set(H)
+    elif len(set(S)) != len(S) or not all(1 <= j <= H.n for j in S):
+        raise FieldError(f"stopping set {list(S)} must hold distinct columns in [1, {H.n}]")
+    cols = sum(1 << (j - 1) for j in S)
     grid = []
-    for mask in H.rows:
+    for i, mask in enumerate(H.rows, 1):
         row = [mask >> j & 1 for j in range(H.n)]
         meet = mask & cols
         if meet:
-            row[(meet & -meet).bit_length() - 1] = (1 - meet.bit_count()) % p
+            k = meet.bit_count()
+            if k == 1:
+                raise FieldError(f"{list(S)} is no stopping set: row {i} meets it in one column")
+            row[(meet & -meet).bit_length() - 1] = (1 - k) % p
         grid.append(tuple(row))
     return WitnessMatrix(p, tuple(grid), H)

@@ -10,6 +10,7 @@ from itertools import combinations
 from .engine import (
     DEFAULT_NODE_BUDGET,
     VrankResult,
+    _peel,
     visible_rank_exact,
     visibly_independent,
 )
@@ -73,22 +74,15 @@ def _set_masks(S: SymmetricSpanoid) -> list[int]:
 
 def span_closure(S: SymmetricSpanoid, T) -> frozenset[int]:
     """Least fixed point of the inference rules applied to T: add i whenever
-    some S_j containing i has S_j \\ {i} inside the current set."""
+    some S_j containing i has S_j \\ {i} inside the current set.  That is
+    peeling the columns outside T on the canonical stencil, and the span is
+    what the peel drops, with T."""
     T = frozenset(T)
     for i in T:
         if not 1 <= i <= S.n:
             raise SpanoidError(f"element {i} out of range")
-    cur = sum(1 << (i - 1) for i in T)
-    masks = _set_masks(S)
-    changed = True
-    while changed:
-        changed = False
-        for sm in masks:
-            missing = sm & ~cur
-            if missing and missing & (missing - 1) == 0:
-                cur |= missing
-                changed = True
-    return frozenset(i + 1 for i in range(S.n) if cur >> i & 1)
+    left = _peel(_set_masks(S), ((1 << S.n) - 1) & ~sum(1 << (i - 1) for i in T))[1]
+    return frozenset(i + 1 for i in range(S.n) if not left >> i & 1)
 
 
 @dataclass(frozen=True)

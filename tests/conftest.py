@@ -226,25 +226,27 @@ def permanent_by_permutations(M: Stencil) -> int:
     return total
 
 
+def brute_closure(S: SymmetricSpanoid, T) -> set[int]:
+    """Span of T under S's inference rules, by sweeping the defining sets as
+    Python sets until a sweep adds nothing."""
+    cur = set(T)
+    changed = True
+    while changed:
+        changed = False
+        for s in S.sets:
+            missing = s - cur
+            if len(missing) == 1:
+                cur |= missing
+                changed = True
+    return cur
+
+
 def brute_spanoid_rank(S: SymmetricSpanoid) -> int:
     """Smallest spanning subset of [n], by enumeration in increasing size."""
     universe = set(range(1, S.n + 1))
-
-    def closure(T) -> set[int]:
-        cur = set(T)
-        changed = True
-        while changed:
-            changed = False
-            for s in S.sets:
-                missing = s - cur
-                if len(missing) == 1:
-                    cur |= missing
-                    changed = True
-        return cur
-
     for size in range(S.n + 1):
         for T in combinations(sorted(universe), size):
-            if closure(T) == universe:
+            if brute_closure(S, T) == universe:
                 return size
     raise AssertionError("unreachable: the universe always spans itself")
 

@@ -106,6 +106,36 @@ class TestPeeling:
         if ok:
             assert cert.verify(M)
 
+    @staticmethod
+    def _shuffled_triangle(rng, n: int) -> list[int]:
+        """Row masks of an n x n upper-triangular pattern with a star diagonal
+        and random stars above it, its rows and columns randomly permuted."""
+        grid = np.triu(rng.random((n, n)) < rng.random(), 1) | np.eye(n, dtype=bool)
+        grid = grid[rng.permutation(n)][:, rng.permutation(n)]
+        return list(Stencil.from_entries(grid.tolist()).rows)
+
+    @given(st.integers(0, 2**30), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_large_shuffled_triangles(self, seed, n):
+        rng = rng_for(seed)
+        M = Stencil.from_rows(self._shuffled_triangle(rng, n), n)
+        ok, cert = is_visibly_full_rank(M)
+        assert ok and cert.verify(M)
+        T = permute(M, cert.perm_pair)
+        assert all(T.star(i, i) for i in range(1, n + 1))
+        assert not any(T.star(i, j) for i in range(1, n + 1) for j in range(1, i))
+
+    @given(st.integers(0, 2**30), st.integers(2, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_large_squares_with_a_repeated_row(self, seed, n):
+        # Two equal rows give an even number of star diagonals: swapping
+        # their columns pairs each diagonal with another.
+        rng = rng_for(seed)
+        rows = self._shuffled_triangle(rng, n)
+        a, b = rng.choice(n, 2, replace=False)
+        rows[b] = rows[a]
+        assert is_visibly_full_rank(Stencil.from_rows(rows, n)) == (False, None)
+
 
 class TestTriangularCertificate:
     def test_layout(self):

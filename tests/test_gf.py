@@ -230,6 +230,18 @@ class TestStoppingSetWitness:
                              (0, 0, 0, 4, 1), (0, 0, 4, 0, 1))
         assert gf_rank(W) == 4
 
+    @pytest.mark.parametrize(
+        "S, match",
+        [((0,), "distinct columns"), ((3, 9), "distinct columns"), ((3, 3, 4), "distinct columns"),
+         ((1, 2), "row 1 meets it in one column")],
+    )
+    def test_given_set_checked(self, S, match):
+        # The stencil above: (0,) and (3, 9) leave [1, 5], and row {1} meets
+        # (1, 2) in one column.
+        H = Stencil.from_rows([0b00001, 0b00011, 0b01100, 0b11000, 0b10100], 5)
+        with pytest.raises(FieldError, match=match):
+            stopping_set_witness(H, 5, S)
+
     def test_given_stopping_set(self):
         # Two disjoint triangles: each alone is a stopping set, and both
         # together are the largest.

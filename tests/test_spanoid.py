@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import brute_spanoid_rank
+from tests.conftest import brute_closure, brute_spanoid_rank
 from vrank import spanoid
 from vrank.engine import visible_rank_exact
 from vrank.spanoid import (
@@ -76,6 +76,15 @@ class TestClosure:
         c1, c2 = span_closure(S, T1), span_closure(S, T2)
         assert c1 <= c2
         assert span_closure(S, c1) == c1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_brute_closure(self, data):
+        n = data.draw(st.integers(1, 8))
+        sets = data.draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=min(4, n)), max_size=8))
+        S = SymmetricSpanoid.from_sets(n, sets)
+        T = data.draw(st.sets(st.integers(1, n), max_size=n))
+        assert span_closure(S, T) == brute_closure(S, T)
 
 
 class TestRank:
