@@ -81,7 +81,7 @@ class ExperimentSpec:
         if self.seed < 0:
             raise SpecError("seed must be >= 0")
         p = self.field_p
-        if p is not None and not (gf.is_prime(p) and p <= gf.MAX_PRIME):
+        if p is not None and not (p <= gf.MAX_PRIME and gf.is_prime(p)):
             raise SpecError(f"field {p} is not a prime up to {gf.MAX_PRIME}")
 
     @staticmethod

@@ -709,8 +709,6 @@ def _urm_search(
     incumbent: int,
     node_budget: int,
     time_budget: float | None,
-    row_vals: list[int] | None = None,
-    col_vals: list[int] | None = None,
     flip: Callable[[int], int] | None = None,
 ) -> tuple[int, list[tuple[int, int]] | None, bool]:
     """Core search.  Returns (best, improving sequence or None, completed).
@@ -734,14 +732,14 @@ def _urm_search(
     level, floored at the incumbent: a primal heuristic that often reaches
     the optimum the depth-first order finds late.  Its sequence becomes the
     incumbent when it is longer, and the stall count restarts.
-    The beam reads the search's deadline once per level, and is skipped when
-    value bitmasks are given.  ``rate`` is ``_ROOT_WORK`` until the beam has
-    run and ``_ROOT_WORK_AFTER_BEAM`` from then on: the walk that proves the
-    beam's incumbent gets work at about the search's own rate per node,
-    while a search that runs no beam keeps the lower rate throughout.  On
-    the DRGP-64 pool (seeds 0-31) this ends the searches in 9,919 nodes, not
-    21,862.  The schedule, the grants and the beam's trigger read node
-    counts only, so the nodes a search spends stay deterministic.
+    The beam reads the search's deadline once per level.  ``rate`` is
+    ``_ROOT_WORK`` until the beam has run and ``_ROOT_WORK_AFTER_BEAM`` from
+    then on: the walk that proves the beam's incumbent gets work at about
+    the search's own rate per node, while a search that runs no beam keeps
+    the lower rate throughout.  On the DRGP-64 pool (seeds 0-31) this ends
+    the searches in 9,919 nodes, not 21,862.  The schedule, the grants and
+    the beam's trigger read node counts only, so the nodes a search spends
+    stay deterministic.
 
     A row is one record (c, index, mask, fresh) throughout: the pass that
     drops duplicate rows builds the root's, (|mask|, index, mask, mask),
@@ -750,10 +748,10 @@ def _urm_search(
     live row's fresh columns, their count c and the union U of them, which
     is all the ``_may_extend`` prune reads: at shallow nodes of a large
     search, the same ``_chain`` walk the root holds, granted once;
-    elsewhere, pairs tested on the masks themselves.  A node the prune keeps picks a forced
-    move in its own candidate order, and passes that order on; otherwise one
-    sort by (c, index) orders its children; either way its live records, in
-    that order, are its children's candidates.
+    elsewhere, pairs tested on the masks themselves.  A node the prune
+    keeps picks a forced move in its own candidate order, and passes that
+    order on; otherwise one sort by (c, index) orders its children; either
+    way its live records, in that order, are its children's candidates.
 
     The memo keeps, per state, the greatest depth at which the search
     entered it, and a node entered no deeper than that is not expanded
@@ -762,39 +760,19 @@ def _urm_search(
     column mask an involution s of the columns that maps the distinct
     nonzero rows onto themselves (see ``_flip``).  Such an automorphism maps
     the subtree at B onto the one at s(B), at equal depths, and {B, s(B)} is
-    the whole orbit of B, so the memo keys each state by min(B, s(B)).  A
-    value search, whose key holds more than B, raises ``StencilError`` when
-    given one.
-
-    The value bitmasks ``row_vals`` and ``col_vals``, given together or not
-    at all, keep the rows, and the pivot columns, pairwise disjoint in
-    value, as distinct rank asks: a pivot adds the columns sharing its
-    values to B, a row drops the rows sharing its values from the candidates
-    below it and adds them, shifted past the n columns, to UR, and the memo
-    key is B | UR.  Giving them is the one switch of such a value search,
-    which runs no beam and makes no forced moves: a move is forced only for
-    a row and a pivot column without values, and every label of a tensor
-    power has one."""
+    the whole orbit of B, so the memo keys each state by min(B, s(B))."""
     deadline = time.monotonic() + (math.inf if time_budget is None else time_budget)
-    values = row_vals is not None
-    beam_due = not values
-    row_vals = [v << n for v in row_vals] if values else [0] * len(masks)
-    if values:
-        # The columns each pivot column blocks: those sharing one of its values.
-        conflict = [sum(1 << d for d, w in enumerate(col_vals) if v & w) for v in col_vals]
-    # The root's records and union: distinct (support, values) only, since a
-    # row duplicating another's can never join the same triangular sequence.
+    beam_due = True
+    # The root's records and union: distinct supports only, since a row
+    # duplicating another's can never join the same triangular sequence.
     seen_rows: set[int] = set()
     root: list[tuple[int, int, int, int]] = []
     root_union = 0
     for idx, mask in enumerate(masks):
-        key = mask | row_vals[idx]
-        if mask and key not in seen_rows:
-            seen_rows.add(key)
+        if mask and mask not in seen_rows:
+            seen_rows.add(mask)
             root.append((mask.bit_count(), idx, mask, mask))
             root_union |= mask
-    if flip is not None and values:
-        raise StencilError("a value search takes no column symmetry")
 
     best = incumbent
     best_seq: list[tuple[int, int]] | None = None
@@ -807,14 +785,13 @@ def _urm_search(
     # node and distinct row.
     risen, stall, walk, rate = 0, _ROOT_AFTER, None, _ROOT_WORK
     seq: list[tuple[int, int]] = []  # (row, pivot column) pairs leading to the node
-    # Frames of the nodes being expanded: (B, UR, depth, the node's ordered
-    # live records as its children's candidates, iterator over the children
-    # not yet tried).  A child is (c, row, columns it blocks, columns whose
-    # lowest is its pivot).
+    # Frames of the nodes being expanded: (B, depth, the node's ordered live
+    # records as its children's candidates, iterator over the children not
+    # yet tried).
     stack: list[
-        tuple[int, int, int, list[tuple[int, int, int, int]], Iterator[tuple[int, int, int, int]]]
+        tuple[int, int, list[tuple[int, int, int, int]], Iterator[tuple[int, int, int, int]]]
     ] = []
-    B, UR, depth, cands = 0, 0, 0, root
+    B, depth, cands = 0, 0, root
     while True:
         nodes += 1
         if nodes > node_budget or time.monotonic() > deadline:
@@ -835,7 +812,7 @@ def _urm_search(
                 if value > best:
                     best, best_seq = value, beam_seq
                     risen, stall, walk = nodes, _ROOT_AFTER, None
-        key = B | UR if flip is None else min(B, flip(B))
+        key = B if flip is None else min(B, flip(B))
         prev = visited.get(key)
         if prev is None or prev < depth:
             visited[key] = depth
@@ -850,19 +827,18 @@ def _urm_search(
             long = depth <= _LONG_CHAIN_DEPTH and nodes > _LONG_CHAIN_AFTER
             if live and _may_extend(live, union, best - depth + 1, long, deadline):
                 # Forced move: a row adding one fresh column can be taken
-                # first without loss when no row or column has values.
-                forced = None if values else next((t for t in live if t[0] == 1), None)
+                # first without loss.
+                forced = next((t for t in live if t[0] == 1), None)
                 if forced is None:
-                    order = sorted(live)
-                    kids = _pivot_classes(order, conflict) if values else order
+                    kids = order = sorted(live)
                 else:
                     kids, order = [forced], live
-                stack.append((B, UR, depth, order, iter(kids)))
+                stack.append((B, depth, order, iter(kids)))
         # Move to the next child of the deepest frame that has one left.
         while stack:
-            pB, pUR, pdepth, pcands, kids = stack[-1]
-            for _, idx, block, fresh in kids:
-                nb = pB | block
+            pB, pdepth, pcands, kids = stack[-1]
+            for _, idx, mask, fresh in kids:
+                nb = pB | mask
                 if pdepth + 1 + (n - nb.bit_count()) > best:
                     break
             else:
@@ -870,9 +846,7 @@ def _urm_search(
                 continue
             del seq[pdepth:]
             seq.append((idx, (fresh & -fresh).bit_length() - 1))
-            B, UR, depth, cands = nb, pUR | row_vals[idx], pdepth + 1, pcands
-            if row_vals[idx]:
-                cands = [t for t in pcands if not row_vals[t[1]] & row_vals[idx]]
+            B, depth, cands = nb, pdepth + 1, pcands
             break
         else:
             return best, best_seq, True
@@ -920,18 +894,6 @@ def _flip(sym: list[int], rows: set[int]) -> Callable[[int], int] | None:
         return sum(map(list.__getitem__, tables, mask.to_bytes(size, "little")))
 
     return flip if {flip(mask) for mask in rows} == rows else None
-
-
-def _pivot_classes(live, conflict: list[int]) -> list[tuple[int, int, int, int]]:
-    """One child per live row and set of columns that a pivot among its fresh
-    columns blocks (see ``_urm_search``), pivoting on the lowest of them."""
-    kids: dict[tuple[int, int], int] = {}
-    for _, idx, mask, fresh in live:
-        while fresh:
-            bit = fresh & -fresh
-            fresh ^= bit
-            kids.setdefault((mask | conflict[bit.bit_length() - 1], idx), bit)
-    return [(1, idx, block, bit) for (block, idx), bit in kids.items()]
 
 
 def visibly_independent(

@@ -35,10 +35,11 @@ def is_prime(p: int) -> bool:
 
 
 def _check_prime(p: int) -> None:
+    # The limit first: trial division of a huge p would not finish.
+    if p > MAX_PRIME:
+        raise FieldError(f"field {p} exceeds the supported limit {MAX_PRIME}")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    if p > MAX_PRIME:
-        raise FieldError(f"prime {p} exceeds the supported limit {MAX_PRIME}")
 
 
 @dataclass(frozen=True)

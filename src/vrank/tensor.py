@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
@@ -138,16 +139,90 @@ def distinct_rank_exact(
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> DistinctRankResult:
-    """Maximum distinctly-full-rank sub-stencil of H^(xk), by the engine's
-    search over triangular row sequences with each label's values as a
-    bitmask, so that the disjointness constraints prune the search."""
+    """Maximum distinctly-full-rank sub-stencil of H^(xk), by a depth-first
+    search over triangular row sequences that keeps the rows, and the pivot
+    columns, pairwise disjoint in value (see ``_distinct_search``)."""
     Hk = tensor_power(H, k, max_entries=max_entries)
-    row_vals, col_vals = _value_masks(Hk.row_labels), _value_masks(Hk.col_labels)
-    value, pairs, completed = engine._urm_search(
-        list(Hk.rows), Hk.n, 0, node_budget, None, row_vals, col_vals
-    )
-    cert = engine._certificate_from_sequence(Hk, pairs or [])
-    return DistinctRankResult(k, value, cert, completed)
+    pairs, completed = _distinct_search(Hk, node_budget)
+    pairs.reverse()
+    cert = engine.triangular_certificate(Hk, [i + 1 for i, _ in pairs], [j + 1 for _, j in pairs])
+    return DistinctRankResult(k, len(pairs), cert, completed)
+
+
+def _distinct_search(P: Stencil, node_budget: int) -> tuple[list[tuple[int, int]], bool]:
+    """The longest triangular sequence of P whose rows, and whose pivot
+    columns, are pairwise disjoint in value, found within ``node_budget``
+    nodes, as forward 0-based (row, pivot column) pairs; and whether the
+    search completed.
+
+    Depth-first over an explicit stack.  A state is (B, UR): the columns of
+    the rows taken and those sharing a value with their pivots, and the
+    values of the rows taken; the memo keeps the greatest depth at which
+    each state was entered.  A node's live rows, with a column outside B and
+    no value in UR, are its children's candidates; it is cut when they, or
+    their fresh columns, are fewer than best - depth + 1.  It has one child
+    per live row and set of columns that a pivot among the row's fresh
+    columns blocks, the rows ordered by (fresh columns, index); a child is
+    cut when depth + 1 + n - |B| does not pass the best.
+    """
+    n = P.n
+    row_vals, col_vals = _value_masks(P.row_labels), _value_masks(P.col_labels)
+    # The columns each pivot column blocks: those sharing one of its values.
+    conflict = [sum(1 << d for d, w in enumerate(col_vals) if v & w) for v in col_vals]
+    # Rows of one support and one set of values are interchangeable.
+    first: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
+    for i, (mask, vals) in enumerate(zip(P.rows, row_vals)):
+        if mask:
+            first.setdefault((mask, vals), (mask.bit_count(), i, mask, mask, vals))
+    best: list[tuple[int, int]] = []
+    seq: list[tuple[int, int]] = []  # the pairs leading to the node
+    visited: dict[tuple[int, int], int] = {}
+    # Frames of the nodes being expanded: (B, UR, depth, the node's live
+    # records, iterator over its children not yet tried as ((row, columns
+    # blocked), pivot)).
+    stack: list[tuple[int, int, int, list, Iterator[tuple[tuple[int, int], int]]]] = []
+    B, UR, depth, cands = 0, 0, 0, list(first.values())
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            return best, False
+        if depth > len(best):
+            best = seq.copy()
+        if visited.get((B, UR), -1) < depth:
+            visited[B, UR] = depth
+            live = []
+            union = 0
+            for _, i, mask, _, vals in cands:
+                fresh = mask & ~B
+                if fresh and not vals & UR:
+                    live.append((fresh.bit_count(), i, mask, fresh, vals))
+                    union |= fresh
+            need = len(best) - depth + 1
+            if len(live) >= need and union.bit_count() >= need:
+                kids: dict[tuple[int, int], int] = {}
+                for _, i, mask, fresh, _ in sorted(live):
+                    while fresh:
+                        c = (fresh & -fresh).bit_length() - 1
+                        fresh ^= 1 << c
+                        kids.setdefault((i, mask | conflict[c]), c)
+                stack.append((B, UR, depth, live, iter(kids.items())))
+        # Move to the next child of the deepest frame that has one left.
+        while stack:
+            pB, pUR, pdepth, pcands, kids = stack[-1]
+            for (i, block), c in kids:
+                nb = pB | block
+                if pdepth + 1 + n - nb.bit_count() > len(best):
+                    break
+            else:
+                stack.pop()
+                continue
+            del seq[pdepth:]
+            seq.append((i, c))
+            B, UR, depth, cands = nb, pUR | row_vals[i], pdepth + 1, pcands
+            break
+        else:
+            return best, True
 
 
 def _value_masks(labels) -> list[int]:
@@ -272,7 +347,7 @@ def capacity_lower_bound(
     above H's greedy bound); the search of a level k >= 2 visits each state
     once up to a reversal of H^(xk)'s column labels, (c1, ..., ck) ->
     (ck, ..., c1) for a base with 1-tuple labels (see
-    ``engine._label_flip``).  The upper bound of a searched level is the
+    ``visible_rank_exact``).  The upper bound of a searched level is the
     search's, which is at most w^k.  Larger powers fall back to vrk(H)^k, plus the implicit
     diagonal certificate when the row-label shape admits one, below w^k, or
     below min(m, n)^k when no witness was built.

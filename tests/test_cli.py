@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -294,6 +295,22 @@ class TestMinrankWitness:
     def test_minrank_nonprime_exit_2(self, capsys, d3_path):
         code, _ = run(capsys, "minrank", d3_path, "--field", "4")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["witness", "STENCIL"], ["minrank", "STENCIL"],
+         ["experiment", "--family", "drgp", "--n", "4", "--t", "2"]],
+        ids=["witness", "minrank", "experiment"],
+    )
+    def test_huge_field_exit_2_at_once(self, capsys, d3_path, argv):
+        # 10^18 + 3 is prime: a primality test by trial division before the
+        # limit check would run for hours.
+        start = time.monotonic()
+        assert_input_error(
+            capsys, *[d3_path if a == "STENCIL" else a for a in argv],
+            "--field", "1000000000000000003",
+        )
+        assert time.monotonic() - start < 0.5
 
     def test_witness_d3(self, capsys, d3_path):
         code, out = run(capsys, "witness", d3_path, "--field", "5")

@@ -1105,17 +1105,6 @@ class TestRootProof:
                 patch.setattr(engine, "_ROOT_WORK_AFTER_BEAM", engine._ROOT_WORK)
                 assert visible_rank_exact(H).to_json() == fast
 
-    @pytest.mark.parametrize(
-        "H, value",
-        [(gen_lrc(6, 2, 0), 5), (gen_tensor_gap(4, 3, 0), 3), (gen_tensor_gap(4, 3, 1), 3),
-         (gen_tensor_gap(6, 3, 0), 3)],
-        ids=["lrc6", "tgap4s0", "tgap4s1", "tgap6s0"],
-    )
-    def test_distinct_rank_kept(self, root_walks, H, value):
-        res = distinct_rank_exact(H, 2)
-        assert res.exhaustive and res.value == value
-        assert root_walks
-
     def test_time_budget_kept(self, root_walks, monkeypatch):
         # Root walks from the first node, each with more work than the budget
         # allows: the search and its walks share the one deadline.
@@ -1226,7 +1215,7 @@ class TestBeamInSearch:
         ids=["lrc6", "tgap4s0", "tgap4s1", "tgap6s0"],
     )
     def test_distinct_rank_kept(self, beams, H, value):
-        # The beam knows no value classes, so the distinct-rank search runs none.
+        # Distinct rank has its own search, which runs no beam.
         res = distinct_rank_exact(H, 2)
         assert res.exhaustive and res.value == value
         assert not beams

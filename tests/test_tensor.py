@@ -1,5 +1,7 @@
 """Tensor products and powers, implicit certificates, distinct rank, capacity."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,6 +293,43 @@ class TestDistinctRank:
     def test_lrc_square_within_node_budget(self):
         res = distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=100_000)
         assert res.exhaustive and res.value == 5
+
+    @pytest.mark.parametrize(
+        "H, value",
+        [(gen_lrc(6, 2, 0), 5), (gen_tensor_gap(4, 3, 0), 3), (gen_tensor_gap(4, 3, 1), 3),
+         (gen_tensor_gap(6, 3, 0), 3)],
+        ids=["lrc6", "tgap4s0", "tgap4s1", "tgap6s0"],
+    )
+    def test_distinct_rank_kept(self, H, value):
+        res = distinct_rank_exact(H, 2)
+        assert res.exhaustive and res.value == value
+
+    @pytest.mark.parametrize("budget", [1, 10, 1000])
+    @pytest.mark.parametrize(
+        "H", [gen_lrc(6, 2, 0), gen_tensor_gap(6, 3, 0)], ids=["lrc6", "tgap6s0"]
+    )
+    def test_budget_starved(self, H, budget):
+        # Each search needs more nodes than it is given (19,491 and 131,950),
+        # and stops on the best sequence found so far.
+        res = distinct_rank_exact(H, 2, node_budget=budget)
+        P = tensor_power(H, 2)
+        cert = res.certificate
+        assert not res.exhaustive and cert.size == res.value and cert.verify(P)
+        assert is_distinctly_full_rank(substencil(P, cert.row_subset, cert.col_subset))
+
+    def test_deep_staircase_within_recursion_limit(self):
+        # At level 1 with 1-tuple labels distinct rank is visible rank, and
+        # the search depth equals it, here the side n.
+        n = 300
+        H = Stencil.from_rows([(0b11 << i) & ((1 << n) - 1) for i in range(n)], n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            res = distinct_rank_exact(H, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.exhaustive and res.value == n
+        assert res.certificate.verify(H)
 
 
 class TestCapacity:
@@ -624,12 +663,3 @@ class TestReversalSymmetry:
         H = Stencil.from_rows(rows, n, None, labels)
         assert (engine._label_flip(H) is not None) == applies
         search_checked(H)
-
-    def test_value_search_refuses_symmetry(self):
-        P = tensor_power(I2, 2)
-        vals = tensor._value_masks(P.row_labels)
-        flip = engine._label_flip(P)
-        assert flip is not None
-        with pytest.raises(StencilError, match="value search"):
-            engine._urm_search(list(P.rows), P.n, 0, DEFAULT_NODE_BUDGET, None,
-                               vals, vals, flip=flip)
