@@ -8,6 +8,7 @@ at tensor levels 1 and 2 (level 2 via the sound power bound n * vrk(H), since
 the materialized square is far over the entry limit).
 
 Usage: python3 scripts/calibrate_drgp.py [--seeds 50] [--seed-base 0]
+Exits 1 when the growth check fails.
 """
 
 import argparse
@@ -55,7 +56,7 @@ def calibrate(seeds: int, seed_base: int) -> dict:
     return out
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--seed-base", type=int, default=0)
@@ -66,7 +67,8 @@ def main() -> None:
     growth_ok = t[64] - t[16] <= 3 * (t[32] - t[16]) + 2
     print(f"growth check: T(64)-T(16)={t[64]-t[16]} vs "
           f"3*(T(32)-T(16))+2={3*(t[32]-t[16])+2} -> {'OK' if growth_ok else 'FAIL'}")
+    return 0 if growth_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

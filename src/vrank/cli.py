@@ -221,6 +221,15 @@ def cmd_tensor(args) -> int:
         stencil.write_stencil(Hk, args.output)
         print(json.dumps({"written": args.output, "rows": Hk.m, "cols": Hk.n}))
         return 0
+    # greedy(H)^k bounds level k's printed bounds from below; capping the
+    # exponent at 4 x the digit limit keeps it cheap, since 2^4 > 10.
+    digits, k = getattr(sys, "get_int_max_str_digits", lambda: 0)(), args.power
+    g = engine.greedy_lower_bound(H)[0]
+    if digits and k > 0 and g ** min(k, 4 * digits) >= 10**digits:
+        return _usage_error(
+            f"the report cannot be printed: its level-{k} bound is at least {g}^{k}, "
+            f"past the limit of {digits} digits for integer string conversion"
+        )
     est = tensor.capacity_lower_bound(
         H, args.power, time_budget=args.budget_ms / 1000.0
     )

@@ -527,29 +527,25 @@ def _chain_walk(
     packed as ``_packed`` packs them, have |z_1 & ... & z_s| >= need - s for
     every s <= a; a walk paused whenever its work runs out.
 
-    A greedy dive first: from the largest zero set, take at each step the
-    link meeting the running intersection in the most columns; reaching a
-    links answers True.  Then a walk over sets of links: level 1 holds the
-    links with |z| >= need - 1, and level s + 1 the distinct sets S + {y},
-    y not in S, whose intersection I_S & z_y keeps need - s - 1 columns.
-    Whether a set continues a chain depends only on its intersection, so
-    each level is built once, as sorted member rows with their
-    intersections, and deduplicated; an empty level answers False, and at
-    level a - 1 any passing pair answers True.  A level is walked in blocks
-    of sets whose overlaps with every link fill ``_CHAIN_BLOCK`` words; the
-    passing (set, link) pairs are deduplicated after the last block, and
-    before it whenever more are held than are already distinct, so no array
-    grows with the work granted past the next level, which is charged in
-    full.
+    A walk over sets of links: level 1 holds the links with |z| >= need - 1,
+    and level s + 1 the distinct sets S + {y}, y not in S, whose
+    intersection I_S & z_y keeps need - s - 1 columns.  Whether a set
+    continues a chain depends only on its intersection, so each level is
+    built once, as sorted member rows with their intersections, and
+    deduplicated; an empty level answers False, and at level a - 1 any
+    passing pair answers True.  A level is walked in blocks of sets whose
+    overlaps with every link fill ``_CHAIN_BLOCK`` words; the passing (set,
+    link) pairs are deduplicated after the last block, and before it
+    whenever more are held than are already distinct, so no array grows
+    with the work granted past the next level, which is charged in full.
 
-    Prime it with ``next`` and send it units of work.  The dive costs a x
-    links x words, each level frontier x links x words plus the member
-    indices it sorts.  Where the work spent would pass the work granted, the
-    walk yields True ("may extend") and waits, holding its state, for the
-    next grant; so the walk fed grants w1..wk stops exactly where one grant
-    of w1 + ... + wk would.  Its return value is the answer.  Past
-    ``deadline``, read once per block, or past ``_CHAIN_SETS`` sets in a
-    level, it returns True.
+    Prime it with ``next`` and send it units of work.  Each level costs its
+    frontier x links x words plus the member indices it sorts.  Where the
+    work spent would pass the work granted, the walk yields True ("may
+    extend") and waits, holding its state, for the next grant; so the walk
+    fed grants w1..wk stops exactly where one grant of w1 + ... + wk would.
+    Its return value is the answer.  Past ``deadline``, read once per block,
+    or past ``_CHAIN_SETS`` sets in a level, it returns True.
     """
     work = yield None
     k, words = zeros.shape
@@ -557,22 +553,7 @@ def _chain_walk(
         return False
     if a <= 0:
         return True
-    work -= a * k * words
-    while work < 0:
-        work += yield True
-    counts = sizes = np.bitwise_count(zeros).sum(axis=1, dtype=np.int64)
-    inter = ~np.zeros(words, np.uint64)
-    used = np.zeros(k, bool)
-    for s in range(1, a + 1):
-        y = counts.argmax()
-        if counts[y] < need - s:
-            break
-        if s == a:
-            return True
-        used[y] = True
-        inter = inter & zeros[y]
-        counts = np.bitwise_count(inter & zeros).sum(axis=1, dtype=np.int64)
-        counts[used] = -1
+    sizes = np.bitwise_count(zeros).sum(axis=1, dtype=np.int64)
     members = np.flatnonzero(sizes >= need - 1)[:, None]
     inter = zeros[members[:, 0]]
     step = max(1, _CHAIN_BLOCK // (k * words))

@@ -58,8 +58,10 @@ def tensor_product(H1: Stencil, H2: Stencil, max_entries: int = DEFAULT_MAX_ENTR
 
 def _fits(H: Stencil, k: int, max_entries: int) -> bool:
     """Whether H^(xk) may be built: level 1 always, a level k >= 2 when its
-    (m*n)^k entries are within ``max_entries``."""
-    return k == 1 or (H.m * H.n) ** k <= max_entries
+    (m*n)^k entries are within ``max_entries``.  The exponent is capped at
+    the bit length of ``max_entries`` plus one, where any base >= 2 is past
+    the limit and a base of 0 or 1 is itself, so a huge k costs nothing."""
+    return k == 1 or (H.m * H.n) ** min(k, max_entries.bit_length() + 1) <= max_entries
 
 
 def _check_power(H: Stencil, k: int, max_entries: int) -> None:
@@ -67,7 +69,7 @@ def _check_power(H: Stencil, k: int, max_entries: int) -> None:
         raise StencilError("tensor power requires k >= 1")
     if not _fits(H, k, max_entries):
         raise TensorSizeError(
-            f"H^(x{k}) has {(H.m * H.n) ** k} entries, over the limit of {max_entries}"
+            f"H^(x{k}) has {H.m * H.n}^{k} entries, over the limit of {max_entries}"
         )
 
 

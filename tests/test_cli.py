@@ -267,6 +267,32 @@ class TestTensor:
         assert code == 0 and json.loads(out)["per_level"]["700"]["lower"] == 3**700
         assert_input_error(capsys, "tensor", str(p), "--power", "9100")
 
+    @pytest.mark.parametrize(
+        "power, write",
+        [(3000, True), (2000, True), (100_000_000, True), (30_000, False), (100_000, False)],
+        ids=["3000-o", "2000-o", "1e8-o", "30000", "100000"],
+    )
+    def test_huge_power_exit_2_at_once(self, capsys, tmp_path, power, write):
+        # Neither (m n)^k = 32^k nor any level bound is built: the power is
+        # refused from its size, or from greedy(H)^k = 3^k past the
+        # int-to-str digit limit, with a message that names base and power.
+        h = str(tmp_path / "h.json")
+        run(capsys, "gen", "--family", "drgp", "--n", "4", "--t", "2", "--seed", "0", "-o", h)
+        out = ["-o", str(tmp_path / "x.json")] if write else []
+        start = time.monotonic()
+        err = assert_input_error(capsys, "tensor", h, "--power", str(power), *out)
+        assert time.monotonic() - start < 0.5
+        assert f"^{power}" in err and len(err) < 200
+
+    def test_upper_bound_past_digit_limit_exit_2(self, capsys, tmp_path):
+        # A 17 x 17 all-star stencil has greedy bound 1 but upper bound 17^k,
+        # which passes the int-to-str limit at k = 3,495: only the report's
+        # own conversion can refuse it.
+        p = tmp_path / "all17.stn"
+        p.write_text("stencil 17 17\n" + ("*" * 17 + "\n") * 17)
+        err = assert_input_error(capsys, "tensor", str(p), "--power", "3600")
+        assert err.startswith("error: the report cannot be printed: ") and "^3600" not in err
+
     def test_levels_carry_upper(self, capsys, d3_path):
         # D3: vrk 2, and its GF(3) witness has rank 2.
         code, out = run(capsys, "tensor", d3_path, "--power", "2")

@@ -646,6 +646,11 @@ GOLDEN_NODES = [
     ("drgp32s0", lambda b: visible_rank_exact(gen_drgp(32, 2, 0), node_budget=b).exact, 90),
     ("lcc64s0", lambda b: visible_rank_exact(gen_lcc(64, 3, 0.05, 0), node_budget=b).exact, 122),
     ("lrc32s0", lambda b: visible_rank_exact(gen_lrc(32, 2, 0), node_budget=b).exact, 499),
+    # Two searches from the exact_sweep pools that pass ``_LONG_CHAIN_AFTER``
+    # nodes, so their shallow nodes run the per-node long chain check.
+    ("lcc64s12",
+     lambda b: visible_rank_exact(gen_lcc(64, 3, 0.05, 12), node_budget=b).exact, 1_171),
+    ("drgp64s3", lambda b: visible_rank_exact(gen_drgp(64, 2, 3), node_budget=b).exact, 1_247),
     ("distinct_lrc6s0",
      lambda b: distinct_rank_exact(gen_lrc(6, 2, 0), 2, node_budget=b).exhaustive, 19_491),
     # Level 2 searched up to the factor reversal from its tensored seed
@@ -939,7 +944,7 @@ class TestChain:
     def test_deadline_passed_between_grants(self):
         # No chain of six exists here, which the walk proves when granted
         # enough at once; a deadline that passes while it is paused before
-        # its dive ends it with "may extend" at its first block.
+        # its first level ends it with "may extend" at its first block.
         links = chain_links(missing_pairs(7))
         assert not chain_exists(links, 14 - 5, 6, work=10**9)
         walk = _chain_walk(links, 14 - 5, 6, time.monotonic() + 0.2)
@@ -1207,18 +1212,6 @@ class TestBeamInSearch:
             assert res.certificate.verify(H) and res.certificate.size == res.lower_bound
         # Some of the beams beat the incumbent and became it.
         assert any(depth > floor for depth, floor in beams)
-
-    @pytest.mark.parametrize(
-        "H, value",
-        [(gen_lrc(6, 2, 0), 5), (gen_tensor_gap(4, 3, 0), 3), (gen_tensor_gap(4, 3, 1), 3),
-         (gen_tensor_gap(6, 3, 0), 3)],
-        ids=["lrc6", "tgap4s0", "tgap4s1", "tgap6s0"],
-    )
-    def test_distinct_rank_kept(self, beams, H, value):
-        # Distinct rank has its own search, which runs no beam.
-        res = distinct_rank_exact(H, 2)
-        assert res.exhaustive and res.value == value
-        assert not beams
 
     def test_lcc64_node_count(self):
         # The beam raises the incumbent from 57 to the optimum 59 at node 90,
